@@ -56,7 +56,7 @@ def _load_system(spec: str) -> systems.EquationSystem:
         raise CliError(f"bad system spec {spec!r}: {exc}") from exc
 
 
-def _load_coloring(spec: str, N: int, seed: int) -> colorings.Coloring:
+def _load_coloring(spec: str, N: int, r: int, seed: int) -> colorings.Coloring:
     spec = spec.strip()
     if spec == "all-one":
         return colorings.all_one_coloring(N)
@@ -68,7 +68,7 @@ def _load_coloring(spec: str, N: int, seed: int) -> colorings.Coloring:
             inner = spec[spec.index("(") + 1 : spec.rindex(")")].strip()
             if inner:
                 s = int(inner)
-        return colorings.random_coloring(N, 2, s)
+        return colorings.random_coloring(N, r, s)
     if spec.startswith("rado-avoider"):
         inner = spec[spec.index("(") + 1 : spec.rindex(")")]
         coeff_part, _, p_part = inner.partition(";")
@@ -195,7 +195,7 @@ def _apply_distinct(sys: systems.EquationSystem, args) -> systems.EquationSystem
 
 def cmd_solve(args) -> int:
     sys_ = _apply_distinct(_load_system(args.system), args)
-    col = _load_coloring(args.coloring, args.range, args.seed)
+    col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
     t0 = time.perf_counter()
     try:
         rec = search.find_mono_solution(sys_, col, _budget(args))
@@ -273,7 +273,7 @@ def cmd_export_cnf(args) -> int:
 
 
 def cmd_fsfp(args) -> int:
-    col = _load_coloring(args.coloring, args.range, args.seed)
+    col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
     t0 = time.perf_counter()
     w = colorings.search_fsfp(col, args.depth)
     elapsed = time.perf_counter() - t0
@@ -288,7 +288,7 @@ def cmd_fsfp(args) -> int:
 
 
 def cmd_polyvdw(args) -> int:
-    col = _load_coloring(args.coloring, args.range, args.seed)
+    col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
     try:
         polys = _parse_poly_list(args.polys)
     except ValueError as exc:
@@ -356,8 +356,10 @@ def cmd_construct_thm37(args) -> int:
         assignment = systems.construct_thm37(A, X, a, d, polys)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
+    t0 = time.perf_counter()
     sys_ = systems.build_nonlinear_rado(A, polys)
     residuals = sys_.residuals(assignment)
+    elapsed = time.perf_counter() - t0
     integral = systems.integrality_check(assignment)
     outcome = {
         "assignment": _assignment_json(assignment),
@@ -366,7 +368,7 @@ def cmd_construct_thm37(args) -> int:
         "integral": integral,
     }
     human = f"assignment: {assignment}\nresiduals: {residuals}\nintegral: {integral}"
-    _report(args, "construct-thm37", {"matrix": A.to_text(), "a": args.a, "d": args.d, "polys": args.polys}, outcome, 0.0, human)
+    _report(args, "construct-thm37", {"matrix": A.to_text(), "a": args.a, "d": args.d, "polys": args.polys}, outcome, elapsed, human)
     return EXIT_FOUND
 
 
@@ -458,7 +460,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from itertools import product as _iproduct
+from math import gcd
 
 from .polyring import Poly
 
@@ -355,8 +356,11 @@ def poly_vdw_witness(c: Coloring, polys):
 class RadoAvoider:
     """The classical falsification device for a single non-regular equation:
     color n by its least significant nonzero digit in base p (r = p - 1
-    colors).  Admissible only when no nonempty subset of the coefficients
-    sums to 0 mod p."""
+    colors).  Admissible only when every nonempty subset sum s of the
+    coefficients has gcd(s, p) = 1: in a monochromatic solution with digit d,
+    the terms of least p-adic valuation give d * s = 0 mod p for their
+    coefficient sum s, which a unit s rules out.  For prime p this is
+    s != 0 mod p."""
 
     def __init__(self, coeffs, p: int):
         coeffs = [int(c) for c in coeffs]
@@ -364,10 +368,10 @@ class RadoAvoider:
             raise ValueError("coefficients must be nonzero")
         if p < 2:
             raise ValueError("p must be at least 2")
-        bad = _zero_subset_mod(coeffs, p)
+        bad = _subset_sum_sharing_factor(coeffs, p)
         if bad is not None:
             raise ValueError(
-                f"subset {bad} of coefficients sums to 0 mod {p}; "
+                f"subset {bad} of coefficients has a sum sharing a factor with {p}; "
                 "the avoider construction does not apply"
             )
         self.coeffs = tuple(coeffs)
@@ -386,7 +390,7 @@ class RadoAvoider:
         return Coloring(N=N, r=self.r, colors=tuple(self.color_of(k) for k in range(1, N + 1)))
 
 
-def _zero_subset_mod(coeffs, p):
+def _subset_sum_sharing_factor(coeffs, p):
     n = len(coeffs)
     for mask in range(1, 1 << n):
         total = 0
@@ -395,7 +399,7 @@ def _zero_subset_mod(coeffs, p):
             if mask >> i & 1:
                 total += coeffs[i]
                 sub.append(coeffs[i])
-        if total % p == 0:
+        if gcd(total, p) != 1:
             return sub
     return None
 

@@ -19,7 +19,6 @@ class BudgetExhausted(Exception):
 class SearchBudget:
     N: int
     node_limit: int = None
-    time_hint: float = None
 
     def __post_init__(self):
         if self.N < 1:
@@ -117,7 +116,7 @@ def _forced_value(residual, coeff):
     return v if v >= 1 else None
 
 
-def _search_linear(sys, values, value_set, nodes, yield_all=False):
+def _search_linear(sys, values, value_set, nodes):
     """DFS over the class values with running residuals; the closing variable
     of each equation is solved directly instead of enumerated.  Yields
     assignments (ascending, hence lexicographically least first)."""
@@ -275,7 +274,7 @@ def _search_linear(sys, values, value_set, nodes, yield_all=False):
 # generic path (polynomial equations)
 
 
-def _search_generic(sys, values, value_set, nodes, yield_all=False):
+def _search_generic(sys, values, value_set, nodes):
     """Plain DFS in declaration order.  When exactly one variable of an
     equation is unassigned and the equation is linear in it, the value is
     solved directly; fully assigned equations prune on nonzero residual."""

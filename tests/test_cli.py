@@ -6,6 +6,9 @@ import json
 import pytest
 
 from radolab.cli import main
+from radolab.colorings import poly_vdw_witness, random_coloring
+from radolab.polyring import poly_parse
+from radolab.radomat import MAX_COLS
 
 
 @pytest.fixture
@@ -244,6 +247,16 @@ def test_polyvdw(capsys):
     assert (payload["outcome"]["a"], payload["outcome"]["d"]) == (1, 1)
 
 
+def test_random_coloring_honours_colors(capsys):
+    argv = ["polyvdw", "--coloring", "random(3)", "--colors", "3", "--polys", "z", "--range", "50"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    outcome = payload["outcome"]
+    expected = poly_vdw_witness(random_coloring(50, 3, 3), [poly_parse("z")])
+    assert (outcome["a"], outcome["d"], outcome["color"]) == expected
+    assert expected[2] == 2  # a colour that two colours cannot give
+
+
 def test_polyvdw_bad_poly(capsys):
     code, _, err = run(
         capsys, ["polyvdw", "--coloring", "all-one", "--polys", "z^2 + 1"]
@@ -301,6 +314,15 @@ def test_construct_thm37(capsys, matrix_file, tmp_path):
     assert payload["outcome"]["all_satisfied"] is True
 
 
+def test_construct_thm37_reports_elapsed(capsys, tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("1 1 -1")
+    argv = ["construct-thm37", str(p), "--kernel-vec", "1,1,2", "--a", "10", "--d", "2", "--polys", "z^2"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["elapsed_s"] > 0
+
+
 def test_construct_thm37_non_kernel_vec(capsys, tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1 1 -1")
@@ -325,6 +347,25 @@ def test_construct_thm37_non_kernel_vec(capsys, tmp_path):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "schur", "--range", "0"],
+        ["rado-number", "schur", "--colors", "0"],
+        ["fsfp", "--depth", "7"],
+        ["solve", "schur", "--coloring", "rado-avoider(1,a;5)"],
+        ["check-cc", "TOO-WIDE"],
+    ],
+    ids=["range-0", "colors-0", "depth-7", "avoider-coeff", "too-many-columns"],
+)
+def test_bad_input_exits_2_with_one_line(capsys, matrix_file, argv):
+    wide = matrix_file(" ".join(["1"] * (MAX_COLS + 1)))
+    code, _, err = run(capsys, [wide if a == "TOO-WIDE" else a for a in argv])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_json_report_shape(capsys, matrix_file):

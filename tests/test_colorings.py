@@ -337,6 +337,13 @@ def test_avoider_rejects_zero_subset():
             RadoAvoider((1, 1, -2), p)
 
 
+def test_avoider_rejects_subset_sum_sharing_a_factor_with_p():
+    # -7 - 7 = -14 is nonzero mod 4 but shares the factor 2 with it, and the
+    # base-4 colouring gives 2, 6, 56 one colour although -7*2 - 7*6 + 56 = 0
+    with pytest.raises(ValueError):
+        rado_avoider_coloring([-7, -7, 1], 4)
+
+
 def test_avoider_digit_colors():
     av = RadoAvoider((1, 1, -3), 5)
     # color is the least significant nonzero base-5 digit, minus one

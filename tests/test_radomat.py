@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
 from radolab.exactq import Matrix
 from radolab.radomat import (
+    MAX_COLS,
     ColumnPartitionWitness,
     column_condition,
     column_condition_naive,
@@ -90,6 +92,28 @@ def test_deciders_agree_random_2xn():
         n = rng.randint(2, 5)
         A = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)])
         assert (column_condition(A) is None) == (column_condition_naive(A) is None)
+
+
+def test_column_guard():
+    with pytest.raises(ValueError):
+        column_condition(Matrix([[1] * (MAX_COLS + 1)]))
+
+
+def test_planted_2x16_without_witness_is_fast():
+    # pairs (c,0),(-c,0), a filler column (c,0) and a last column (0,c) that
+    # no other column can cancel, in shuffled order
+    rng = random.Random(11)
+    cols = []
+    for _ in range(7):
+        c = rng.randint(1, 3)
+        cols += [(c, 0), (-c, 0)]
+    cols += [(rng.randint(1, 3), 0), (0, rng.randint(1, 3))]
+    rng.shuffle(cols)
+    A = Matrix([[c[0] for c in cols], [c[1] for c in cols]])
+    assert A.n == 16
+    t0 = time.perf_counter()
+    assert column_condition(A) is None
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_rational_entries_accepted():
