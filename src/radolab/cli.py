@@ -97,14 +97,16 @@ def _parse_poly_list(text: str):
     return [poly_parse(t) for t in text.split(",") if t.strip()]
 
 
-def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, human: str):
+def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, human: str, searched=None):
+    """Print the run report.  `searched` is the range actually searched,
+    which can be smaller than --range; --range is reported without it."""
     if args.json:
         payload = {
             "command": command,
             "inputs": inputs,
             "outcome": outcome,
             "elapsed_s": round(elapsed, 6),
-            "budget": {"range": getattr(args, "range", None), "node_limit": args.budget_nodes},
+            "budget": {"range": searched or getattr(args, "range", None), "node_limit": args.budget_nodes},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -196,6 +198,7 @@ def _apply_distinct(sys: systems.EquationSystem, args) -> systems.EquationSystem
 def cmd_solve(args) -> int:
     sys_ = _apply_distinct(_load_system(args.system), args)
     col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
+    searched = min(args.range, col.N)  # a coloring file may be shorter than --range
     t0 = time.perf_counter()
     try:
         rec = search.find_mono_solution(sys_, col, _budget(args))
@@ -207,6 +210,7 @@ def cmd_solve(args) -> int:
             {"budget_exhausted": True},
             time.perf_counter() - t0,
             f"BUDGET ({exc})",
+            searched,
         )
         return EXIT_BUDGET
     elapsed = time.perf_counter() - t0
@@ -216,7 +220,7 @@ def cmd_solve(args) -> int:
         human = f"SOLUTION color={rec.color} {rec.assignment} {label}"
     else:
         outcome = {"solution": None}
-        human = f"NONE-IN-RANGE {label}"
+        human = f"NONE-IN-RANGE [1..{searched}] {label}"
     _report(
         args,
         "solve",
@@ -224,6 +228,7 @@ def cmd_solve(args) -> int:
         outcome,
         elapsed,
         human,
+        searched,
     )
     return EXIT_FOUND if rec is not None else EXIT_NOT_FOUND
 
@@ -244,7 +249,7 @@ def cmd_rado_number(args) -> int:
         human = f"RADO-NUMBER {res.value} (avoider for N={res.value - 1} attached, nodes={res.nodes})"
         code = EXIT_FOUND
     elif res.exhausted:
-        human = f"BUDGET (largest avoider N={res.avoider.N if res.avoider else 0})"
+        human = f"BUDGET (largest avoider N={res.avoider.N if res.avoider else 0}, nodes={res.nodes})"
         code = EXIT_BUDGET
     else:
         human = f"UNRESOLVED up to N={args.range} (avoider exists at N={args.range})"
@@ -379,7 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON run report")
     common.add_argument("--seed", type=int, default=0, help="seed for random generators")
-    common.add_argument("--budget-nodes", type=int, default=None, help="search node limit")
+    common.add_argument(
+        "--budget-nodes",
+        type=int,
+        default=None,
+        metavar="K",
+        help="search node limit: for solve, a node is one value tried for one variable in the"
+        " per-color-class search; for rado-number, one solution-enumeration step or one"
+        " color tried for one integer; other commands ignore it",
+    )
     common.add_argument("--range", type=int, default=100, metavar="N", help="integer range bound [1..N]")
     common.add_argument("--colors", type=int, default=2, metavar="R", help="number of colors")
     common.add_argument(

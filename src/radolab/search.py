@@ -426,34 +426,25 @@ def _has_mono_solution(sys, coloring, nodes):
     return False
 
 
-def _find_avoiding_coloring(sys, r, N, nodes):
-    """Backtracking over colorings of [1..N]: the color of 1 is fixed to 0 and
-    new colors are introduced in ascending order.  Returns the first avoiding
-    coloring in search order, or None."""
-    colors = [0] * N
+def _value_sets(sys, N, nodes):
+    """The value set of every solution in [1..N], colors ignored, as a sorted
+    tuple, in enumeration order; a set repeats once per solution that has
+    it.  Whether a solution is monochromatic depends only on its value set."""
+    for assignment in _solutions_in_class(sys, list(range(1, N + 1)), nodes):
+        yield tuple(sorted(set(assignment.values())))
 
-    def extend(k, used):
-        # colors[0..k-2] are set and admit no monochromatic solution
-        if k > N:
-            return True
-        for c in range(min(used + 1, r)):
-            nodes.spend()
-            colors[k - 1] = c
-            partial = Coloring(N=k, r=r, colors=tuple(colors[:k]))
-            if not _has_mono_solution(sys, partial, nodes):
-                if extend(k + 1, max(used, c + 1)):
-                    return True
-        return False
 
-    if N == 1:
-        ok = not _has_mono_solution(sys, Coloring(N=1, r=r, colors=(0,)), nodes)
-    else:
-        ok = not _has_mono_solution(
-            sys, Coloring(N=1, r=r, colors=(0,)), nodes
-        ) and extend(2, 1)
-    if ok:
-        return Coloring(N=N, r=r, colors=tuple(colors))
-    return None
+def _solution_index(sys, M, nodes):
+    """The solution hypergraph on [1..M], indexed by largest member:
+    entry k holds, for each value set whose maximum is k, the bitmask of its
+    other members (bit v stands for the integer v)."""
+    by_max = [set() for _ in range(M + 1)]
+    for s in _value_sets(sys, M, nodes):
+        others = 0
+        for v in s[:-1]:
+            others |= 1 << v
+        by_max[s[-1]].add(others)
+    return [tuple(b) for b in by_max]
 
 
 def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumberResult:
@@ -461,29 +452,70 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
     monochromatic solution.  The avoiding coloring for N-1 is attached.  On
     budget exhaustion (or no value up to budget.N) the value is absent and
     the largest avoider found is attached; `exhausted` distinguishes the
-    two."""
+    two.
+
+    One depth-first search colors 1, 2, 3, ... in turn: the color of 1 is
+    fixed to 0 and new colors are introduced in ascending order.  Avoiding
+    colorings are closed under prefixes, and a new monochromatic solution
+    must contain the integer k just colored, as the largest member of its
+    value set; so coloring k with c is legal iff no value set with maximum k
+    has all its other members colored c.  The value is 1 + the depth of the
+    deepest avoiding prefix, and the first prefix to reach a depth is the
+    least avoider of that length in search order.
+
+    The value sets are enumerated once per range [1..M]: M starts at
+    min(N, 8) and doubles, up to N, when the search first goes deeper than
+    M.  `nodes` counts enumeration steps plus color assignments tried, both
+    charged to `budget.node_limit`.  A search whose budget runs out during
+    an enumeration never reports a value.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
+    N = budget.N
     nodes = _Nodes(budget.node_limit)
-    avoider = None
+    colors = [0] * (N + 1)  # colors[k]: color of k in the current prefix
+    next_color = [0] * (N + 2)  # next color to try at depth k
+    used = [0] * (N + 2)  # number of colors used by 1..k-1
+    masks = [0] * r  # bit k of masks[c]: k is colored c
+    M = 0
+    by_max = []
+    best = ()  # deepest avoiding prefix found, first in search order
+    exhausted = False
     try:
-        for N in range(1, budget.N + 1):
-            found = _find_avoiding_coloring(sys, r, N, nodes)
-            if found is None:
-                return RadoNumberResult(
-                    system=sys.name, r=r, value=N, avoider=avoider, nodes=nodes.count
-                )
-            avoider = found
+        k = 1
+        while k:
+            c = next_color[k]
+            if c > used[k] or c == r:  # depth k is done: back to k - 1
+                k -= 1
+                if k:
+                    masks[colors[k]] ^= 1 << k
+                continue
+            next_color[k] = c + 1
+            nodes.spend()
+            if k > M:
+                M = min(N, max(8, 2 * M))
+                by_max = _solution_index(sys, M, nodes)
+            mask = masks[c]
+            for others in by_max[k]:
+                if others & mask == others:
+                    break
+            else:
+                colors[k] = c
+                masks[c] = mask | 1 << k
+                if k > len(best):
+                    best = tuple(colors[1 : k + 1])
+                    if k == N:
+                        break
+                used[k + 1] = max(used[k], c + 1)
+                next_color[k + 1] = 0
+                k += 1
     except BudgetExhausted:
-        return RadoNumberResult(
-            system=sys.name,
-            r=r,
-            value=None,
-            avoider=avoider,
-            nodes=nodes.count,
-            exhausted=True,
-        )
-    return RadoNumberResult(system=sys.name, r=r, value=None, avoider=avoider, nodes=nodes.count)
+        exhausted = True
+    avoider = Coloring(N=len(best), r=r, colors=best) if best else None
+    value = None if exhausted or len(best) == N else len(best) + 1
+    return RadoNumberResult(
+        system=sys.name, r=r, value=value, avoider=avoider, nodes=nodes.count, exhausted=exhausted
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +535,8 @@ def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = 200000) -
     truncated = False
     tuples = set()
     try:
-        for assignment in enumerate_solutions(sys, N, limit=tuple_limit):
-            tuples.add(tuple(sorted({assignment[v] for v in sys.variables})))
+        for value_set in _value_sets(sys, N, _Nodes(tuple_limit)):
+            tuples.add(value_set)
     except BudgetExhausted:
         truncated = True
     nvars = N * r

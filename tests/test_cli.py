@@ -147,6 +147,18 @@ def test_solve_avoider_none_in_range(capsys):
     assert "NONE-IN-RANGE" in out
 
 
+def test_solve_reports_the_range_a_short_coloring_file_allows(capsys, tmp_path):
+    path = tmp_path / "five.col"
+    path.write_text("5 3\n0 1 1 0 2\n")
+    argv = ["solve", "schur", "--coloring", str(path), "--range", "100"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert "NONE-IN-RANGE [1..5]" in out
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["budget"]["range"] == 5
+
+
 def test_solve_concluding_1_keeps_status_label(capsys):
     code, out, _ = run(
         capsys,
@@ -208,6 +220,7 @@ def test_rado_number_budget(capsys):
         ["rado-number", "schur", "--colors", "2", "--range", "6", "--budget-nodes", "5"],
     )
     assert code == 3
+    assert out.startswith("BUDGET (largest avoider N=0, nodes=")
 
 
 def test_export_cnf(capsys, tmp_path):

@@ -240,6 +240,81 @@ def test_rado_number_matches_brute_force_suite():
             assert got.value == expect, sys.name
 
 
+def _first_canonical_avoider(sys, r, N):
+    """The first coloring of [1..N], in lexicographic order, that colors 1
+    with 0, introduces new colors in ascending order and has no
+    monochromatic solution; None when there is none."""
+    from radolab.search import _has_mono_solution, _Nodes
+
+    for colors in itertools.product(range(r), repeat=N):
+        if any(c > max(colors[:i], default=-1) + 1 for i, c in enumerate(colors)):
+            continue
+        c = Coloring(N=N, r=r, colors=colors)
+        if not _has_mono_solution(sys, c, _Nodes(None)):
+            return c
+    return None
+
+
+def _cnf_satisfied_by(text, coloring):
+    _, clauses = _parse_dimacs(text)
+    r = coloring.r
+    true = {(n - 1) * r + c + 1 for n, c in enumerate(coloring.colors, start=1)}
+    return all(any((l > 0) == (abs(l) in true) for l in cl) for cl in clauses)
+
+
+def test_rado_number_value_and_avoider_match_brute_force():
+    ap3 = single_equation([1, 1, -2], distinctness="nontrivial")
+    suite = [
+        (schur_system(), 3, 5),
+        (single_equation([1, 1, -2]), 3, 5),
+        (ap3, 3, 5),
+        (single_equation([1, 2, -1]), 3, 5),
+        # several avoiders of the longest length: the first must be attached
+        (ap3, 2, 10),
+        (single_equation([1, 1, -1], distinctness="all-distinct"), 2, 10),
+    ]
+    for sys, r, N_max in suite:
+        expect = _brute_force_rado(sys, r, N_max)
+        got = rado_number(sys, r, _budget(N_max))
+        assert got.value == expect, sys.name
+        N = N_max if got.value is None else got.value - 1
+        avoider = _first_canonical_avoider(sys, r, N) if N else None
+        assert got.avoider == avoider, sys.name
+
+
+def test_rado_number_vdw_3_colors_is_27():
+    # W(3;3) = 27 (Chvatal 1970)
+    sys = single_equation([1, 1, -2], distinctness="nontrivial")
+    res = rado_number(sys, 3, SearchBudget(N=30, node_limit=500_000))
+    assert res.value == 27 and not res.exhausted
+    assert res.avoider.N == 26
+    from radolab.search import _has_mono_solution, _Nodes
+
+    assert not _has_mono_solution(sys, res.avoider, _Nodes(None))
+    assert _cnf_satisfied_by(export_cnf(sys, 3, 26), res.avoider)
+
+
+def test_rado_number_weak_schur_3_colors_is_24():
+    # WS(3) = 23
+    sys = single_equation([1, 1, -1], distinctness="all-distinct")
+    res = rado_number(sys, 3, SearchBudget(N=30, node_limit=500_000))
+    assert res.value == 24 and res.avoider.N == 23
+
+
+def test_rado_number_budget_runs_out_during_enumeration():
+    # the first enumeration, of [1..8], alone needs more than 10 nodes
+    res = rado_number(schur_system(), 2, SearchBudget(N=60, node_limit=10))
+    assert res.value is None and res.exhausted
+    assert res.avoider is None
+
+
+def test_rado_number_deep_search_has_no_recursion_limit():
+    # x + 2y = 4z fails the column condition, so an avoider exists at every N
+    res = rado_number(single_equation([1, 2, -4]), 3, _budget(1100))
+    assert res.value is None and not res.exhausted
+    assert res.avoider.N == 1100
+
+
 # ---------------------------------------------------------------------------
 # avoider consistency
 
