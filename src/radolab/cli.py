@@ -389,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="search node limit: for solve, a node is one value tried for one variable in the"
-        " per-color-class search; for rado-number, one solution-enumeration step or one"
-        " color tried for one integer; other commands ignore it",
+        help="search node limit: a node is one value tried for a variable that no equation"
+        " fixes (a value solved from an equation is free); rado-number also counts one node"
+        " per color tried for one integer; other commands ignore it",
     )
     common.add_argument("--range", type=int, default=100, metavar="N", help="integer range bound [1..N]")
     common.add_argument("--colors", type=int, default=2, metavar="R", help="number of colors")

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,312 +58,172 @@ class _Nodes:
             raise BudgetExhausted(f"node budget {self.limit} exhausted")
 
 
-def _is_linear_system(sys: EquationSystem) -> bool:
-    for eq in sys.equations:
-        for _, mono in eq.terms:
-            if len(mono.exps) > 1:
-                return False
-            if mono.exps and mono.exps[0][1] != 1:
-                return False
-    return True
+_ENUMERATE = object()  # no equation fixes the variable: try every value
 
 
-def _as_positive_int(v):
-    """Positive-integer value of an exact scalar, or None."""
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            return None
-        v = int(v)
-    return v if v >= 1 else None
+class _Plan:
+    """A system compiled once for the solution search, in declaration order.
 
+    Each equation is scaled to integer coefficients and closes at its highest
+    variable.  For each variable i the plan lists its feeds, the terms whose
+    highest variable is i in equations that close later (setting i adds the
+    term's value to that equation's running residual), and its closes, the
+    equations whose highest variable is i.  A closing equation linear in i
+    whose coefficient of i is nonzero fixes i by exact division (one whose
+    only term in i is c * i is used first); every closing equation is checked
+    against the value.  A variable-free equation with a nonzero constant
+    leaves no solutions.
+    """
 
-# ---------------------------------------------------------------------------
-# linear fast path
-
-
-def _linear_tables(sys: EquationSystem):
-    """Per equation: constant term, {var_index: coeff}, index of the closing
-    (highest) variable."""
-    var_index = {v: i for i, v in enumerate(sys.variables)}
-    eqs = []
-    for eq in sys.equations:
-        const = 0
-        coeffs = {}
-        for c, mono in eq.terms:
-            if not mono.exps:
-                const += c
-            else:
-                v = mono.exps[0][0]
-                coeffs[var_index[v]] = coeffs.get(var_index[v], 0) + c
-        coeffs = {i: c for i, c in coeffs.items() if c != 0}
-        close = max(coeffs) if coeffs else None
-        eqs.append((const, coeffs, close))
-    return eqs
-
-
-def _forced_value(residual, coeff):
-    """Solve residual + coeff*v = 0 for v; None when v is not a positive
-    integer."""
-    if isinstance(residual, int) and isinstance(coeff, int):
-        q, rem = divmod(-residual, coeff)
-        if rem:
-            return None
-        v = q
-    else:
-        f = Fraction(-residual) / coeff
-        if f.denominator != 1:
-            return None
-        v = int(f)
-    return v if v >= 1 else None
-
-
-def _search_linear(sys, values, value_set, nodes):
-    """DFS over the class values with running residuals; the closing variable
-    of each equation is solved directly instead of enumerated.  Yields
-    assignments (ascending, hence lexicographically least first)."""
-    nv = len(sys.variables)
-    tables = _linear_tables(sys)
-    eqs_closing = [[] for _ in range(nv)]
-    touching = [[] for _ in range(nv)]  # non-closing touches per variable
-    residuals = [const for const, _, _ in tables]
-    for e, (_, coeffs, close) in enumerate(tables):
-        for i, c in coeffs.items():
-            if i == close:
-                eqs_closing[i].append((e, c))
-            else:
-                touching[i].append((e, c))
-    distinct = sys.distinctness == "all-distinct"
-    nontrivial = sys.distinctness == "nontrivial"
-    assignment = [None] * nv
-
-    def leaf_ok():
-        if nontrivial and len(set(assignment)) == 1:
-            return False
-        return True
-
-    def emit():
-        return {v: assignment[i] for i, v in enumerate(sys.variables)}
-
-    def dfs(i):
-        if i == nv:
-            if leaf_ok():
-                yield emit()
-            return
-        closing = eqs_closing[i]
-        if closing:
-            nodes.spend()
-            e0, c0 = closing[0]
-            v = _forced_value(residuals[e0], c0)
-            if v is None or v not in value_set:
-                return
-            for e, ce in closing[1:]:
-                if residuals[e] + ce * v != 0:
-                    return
-            if distinct and v in assignment:
-                return
-            assignment[i] = v
-            for e, ce in touching[i]:
-                residuals[e] += ce * v
-            yield from dfs(i + 1)
-            for e, ce in touching[i]:
-                residuals[e] -= ce * v
-            assignment[i] = None
-        else:
-            touch = touching[i]
-            for v in values:
-                nodes.spend()
-                if distinct and v in assignment:
-                    continue
-                assignment[i] = v
-                for e, ce in touch:
-                    residuals[e] += ce * v
-                yield from dfs(i + 1)
-                for e, ce in touch:
-                    residuals[e] -= ce * v
-            assignment[i] = None
-
-    # fast inner loop: when only the final variable remains and it closes
-    # every remaining equation, resolve it inline per candidate
-    if nv >= 2 and eqs_closing[nv - 1] and not touching[nv - 1]:
-        last = nv - 1
-        closing_last = eqs_closing[last]
-        e0, c0 = closing_last[0]
-        rest = closing_last[1:]
-
-        def dfs_fast(i):
-            if i == last:
-                nodes.spend()
-                v = _forced_value(residuals[e0], c0)
-                if v is None or v not in value_set:
-                    return
-                for e, ce in rest:
-                    if residuals[e] + ce * v != 0:
-                        return
-                if distinct and v in assignment:
-                    return
-                assignment[i] = v
-                if leaf_ok():
-                    yield emit()
-                assignment[i] = None
-                return
-            if i == last - 1 and not eqs_closing[i]:
-                touch = touching[i]
-                res = residuals
-                spend = nodes.spend
-                for v in values:
-                    spend()
-                    if distinct and v in assignment:
-                        continue
-                    for e, ce in touch:
-                        res[e] += ce * v
-                    w = _forced_value(res[e0], c0)
-                    good = (
-                        w is not None
-                        and w in value_set
-                        and all(res[e] + ce * w == 0 for e, ce in rest)
-                        and not (distinct and (w == v or w in assignment))
-                    )
-                    if good:
-                        assignment[i] = v
-                        assignment[last] = w
-                        if leaf_ok():
-                            yield emit()
-                        assignment[last] = None
-                        assignment[i] = None
-                    for e, ce in touch:
-                        res[e] -= ce * v
-                return
-            closing = eqs_closing[i]
-            if closing:
-                nodes.spend()
-                ee, cc = closing[0]
-                v = _forced_value(residuals[ee], cc)
-                if v is None or v not in value_set:
-                    return
-                for e, ce in closing[1:]:
-                    if residuals[e] + ce * v != 0:
-                        return
-                if distinct and v in assignment:
-                    return
-                assignment[i] = v
-                for e, ce in touching[i]:
-                    residuals[e] += ce * v
-                yield from dfs_fast(i + 1)
-                for e, ce in touching[i]:
-                    residuals[e] -= ce * v
-                assignment[i] = None
-            else:
-                touch = touching[i]
-                for v in values:
-                    nodes.spend()
-                    if distinct and v in assignment:
-                        continue
-                    assignment[i] = v
-                    for e, ce in touch:
-                        residuals[e] += ce * v
-                    yield from dfs_fast(i + 1)
-                    for e, ce in touch:
-                        residuals[e] -= ce * v
-                assignment[i] = None
-
-        yield from dfs_fast(0)
-    else:
-        yield from dfs(0)
-
-
-# ---------------------------------------------------------------------------
-# generic path (polynomial equations)
-
-
-def _search_generic(sys, values, value_set, nodes):
-    """Plain DFS in declaration order.  When exactly one variable of an
-    equation is unassigned and the equation is linear in it, the value is
-    solved directly; fully assigned equations prune on nonzero residual."""
-    nv = len(sys.variables)
-    var_index = {v: i for i, v in enumerate(sys.variables)}
-    eq_vars = []
-    for eq in sys.equations:
-        eq_vars.append(sorted({var_index[v] for v in eq.variables()}))
-    unassigned = [len(s) for s in eq_vars]
-    eqs_of = [[] for _ in range(nv)]
-    for e, s in enumerate(eq_vars):
-        for i in s:
-            eqs_of[i].append(e)
-    distinct = sys.distinctness == "all-distinct"
-    nontrivial = sys.distinctness == "nontrivial"
-    assignment = {}
-
-    def linear_parts(eq, var):
-        """(coeff, const) of eq as a function of `var`, all others assigned;
-        None when eq is not linear in var."""
-        coeff = 0
-        const = 0
-        for c, mono in eq.terms:
-            exps = dict(mono.exps)
-            if var in exps:
-                if exps.pop(var) != 1:
-                    return None
-                f = c
-                for v, e in exps.items():
-                    f *= assignment[v] ** e
-                coeff += f
-            else:
-                f = c
-                for v, e in exps.items():
-                    f *= assignment[v] ** e
-                const += f
-        if coeff == 0:
-            return None
-        return coeff, const
-
-    def dfs(i):
-        if i == nv:
-            if nontrivial and len(set(assignment.values())) == 1:
-                return
-            yield dict(assignment)
-            return
-        var = sys.variables[i]
-        forced = None
-        have_forced = False
-        for e in eqs_of[i]:
-            if unassigned[e] == 1:
-                parts = linear_parts(sys.equations[e], var)
-                if parts is not None:
-                    coeff, const = parts
-                    v = _forced_value(const, coeff)
-                    have_forced = True
-                    forced = v
-                    break
-        if have_forced:
-            candidates = () if forced is None or forced not in value_set else (forced,)
-        else:
-            candidates = values
-        for v in candidates:
-            nodes.spend()
-            if distinct and v in assignment.values():
+    def __init__(self, sys: EquationSystem):
+        index = {v: i for i, v in enumerate(sys.variables)}
+        self.names = sys.variables
+        self.distinct = sys.distinctness == "all-distinct"
+        self.nontrivial = sys.distinctness == "nontrivial"
+        self.unsolvable = False
+        self.const = []  # starting residual of each equation
+        self.feeds = [[] for _ in index]  # (e, c, x, others): c * i^x * others
+        self.closes = [[] for _ in index]  # (e, [(c, x, others)])
+        self.pivot = [None] * len(index)  # (e, c): c * i is e's only term in i
+        self.linear = [[] for _ in index]  # (e, [(c, others)]): e is linear in i
+        for eq in sys.equations:
+            scale = math.lcm(*(Fraction(c).denominator for c, _ in eq.terms))
+            const, terms = 0, []
+            for c, mono in eq.terms:
+                c = int(c * scale)
+                if mono.exps:
+                    terms.append((c, sorted((index[v], x) for v, x in mono.exps)))
+                else:
+                    const += c
+            if not terms:
+                self.unsolvable |= const != 0
                 continue
-            assignment[var] = v
-            ok = True
-            for e in eqs_of[i]:
-                unassigned[e] -= 1
-                if unassigned[e] == 0 and ok:
-                    if sys.equations[e].eval(assignment) != 0:
-                        ok = False
-            if ok:
-                yield from dfs(i + 1)
-            for e in eqs_of[i]:
-                unassigned[e] += 1
-            del assignment[var]
+            e = len(self.const)
+            self.const.append(const)
+            top = max(m[-1][0] for _, m in terms)
+            own = []
+            for c, m in terms:
+                h, x = m.pop()
+                if h == top:
+                    own.append((c, x, tuple(m)))
+                else:
+                    self.feeds[h].append((e, c, x, tuple(m)))
+            self.closes[top].append((e, own))
+            if all(x == 1 for _, x, _ in own):
+                self.linear[top].append((e, [(c, others) for c, _, others in own]))
+                if self.pivot[top] is None and len(own) == 1 and not own[0][2]:
+                    self.pivot[top] = (e, own[0][0])
 
-    yield from dfs(0)
+    def solutions(self, values, nodes):
+        """Every solution with all its values in `values` (ascending), in
+        lexicographic order.  Each value tried at an enumerated variable
+        costs one node; a value solved from an equation is free."""
+        if self.unsolvable:
+            return
+        n = len(self.names)
+        feeds, closes, distinct = self.feeds, self.closes, self.distinct
+        value_set = set(values)
+        res = list(self.const)
+        a = [0] * n  # a[i]: value of variable i, 0 while unset
+        # residual -> value for each pivot: residual + c * v = 0
+        lookup = [p and (p[0], {-p[1] * w: w for w in values}) for p in self.pivot]
 
+        def prod(others):
+            p = 1
+            for k, y in others:
+                p *= a[k] ** y
+            return p
 
-def _solutions_in_class(sys, values, nodes):
-    value_set = set(values)
-    if _is_linear_system(sys):
-        yield from _search_linear(sys, values, value_set, nodes)
-    else:
-        yield from _search_generic(sys, values, value_set, nodes)
+        def forced(i):
+            # the value an equation fixes for i, None when it is not in the
+            # class, or _ENUMERATE
+            if lookup[i]:
+                e, table = lookup[i]
+                return table.get(res[e])
+            for e, own in self.linear[i]:
+                coef = sum(c * prod(others) for c, others in own)
+                if coef:
+                    q, r = divmod(-res[e], coef)
+                    return q if not r and q in value_set else None
+            return _ENUMERATE
+
+        def place(i, v):
+            # set i to v if distinctness and the equations closing at i allow
+            if distinct and v in a:
+                return False
+            for e, own in closes[i]:
+                if res[e] + sum(c * v**x * prod(others) for c, x, others in own):
+                    return False
+            a[i] = v
+            for e, c, x, others in feeds[i]:
+                res[e] += c * v**x * prod(others)
+            return True
+
+        def unplace(i):
+            v = a[i]
+            for e, c, x, others in feeds[i]:
+                res[e] -= c * v**x * prod(others)
+            a[i] = 0
+
+        def dfs(i):
+            w = forced(i)
+            if w is None:
+                return
+            cands, spend = (values, nodes.spend) if w is _ENUMERATE else ((w,), None)
+            # the earlier variables are set, so each term of i is k * v^x
+            fed = [(e, c * prod(others), x) for e, c, x, others in feeds[i]]
+            checks = [(e, [(c * prod(others), x) for c, x, others in own]) for e, own in closes[i]]
+            # when a lookup fixes the next variable and v enters its equation
+            # through one term, a miss there rejects v before it is placed
+            ahead = i + 1 < n and lookup[i + 1]
+            if ahead:
+                ae, atable = ahead
+                into = [(k, x) for e, k, x in fed if e == ae]
+                ahead = len(into) == 1
+                if ahead:
+                    [(ak, ax)] = into
+            for v in cands:
+                if spend:
+                    spend()
+                if distinct and v in a:
+                    continue
+                if ahead and res[ae] + ak * v**ax not in atable:
+                    continue
+                if checks:
+                    for e, ts in checks:
+                        r = res[e]
+                        for k, x in ts:
+                            r += k * v**x
+                        if r:
+                            break
+                    if r:
+                        continue
+                a[i] = v
+                for e, k, x in fed:
+                    res[e] += k * v**x
+                # the variables after i that equations fix, inline
+                j = i + 1
+                while j < n:
+                    w = forced(j)
+                    if w is _ENUMERATE or w is None or not place(j, w):
+                        break
+                    j += 1
+                if j == n:
+                    if not (self.nontrivial and len(set(a)) == 1):
+                        yield dict(zip(self.names, a))
+                elif w is _ENUMERATE:
+                    yield from dfs(j)
+                while j > i + 1:
+                    j -= 1
+                    unplace(j)
+                for e, k, x in fed:
+                    res[e] -= k * v**x
+                a[i] = 0
+
+        if n == 0:
+            yield {}
+        else:
+            yield from dfs(0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +241,11 @@ def find_mono_solution(sys: EquationSystem, c: Coloring, budget: SearchBudget):
     classes = [[] for _ in range(c.r)]
     for k, col in enumerate(c.colors[:bound], start=1):
         classes[col].append(k)
+    plan = _Plan(sys)
     for color, values in enumerate(classes):
         if not values:
             continue
-        for assignment in _solutions_in_class(sys, values, nodes):
+        for assignment in plan.solutions(values, nodes):
             return SolutionRecord(assignment=assignment, color=color, system=sys.name)
     return None
 
@@ -408,29 +270,14 @@ def validate_solution(sys: EquationSystem, c: Coloring, rec: SolutionRecord) -> 
 def enumerate_solutions(sys: EquationSystem, N: int, limit: int = None):
     """All solution tuples within [1..N], colors ignored.  Yields assignment
     dicts; raises BudgetExhausted when `limit` nodes are spent."""
-    nodes = _Nodes(limit)
-    values = list(range(1, N + 1))
-    yield from _solutions_in_class(sys, values, nodes)
-
-
-def _has_mono_solution(sys, coloring, nodes):
-    bound = coloring.N
-    classes = [[] for _ in range(coloring.r)]
-    for k, col in enumerate(coloring.colors, start=1):
-        classes[col].append(k)
-    for values in classes:
-        if not values:
-            continue
-        for _ in _solutions_in_class(sys, values, nodes):
-            return True
-    return False
+    yield from _Plan(sys).solutions(list(range(1, N + 1)), _Nodes(limit))
 
 
 def _value_sets(sys, N, nodes):
     """The value set of every solution in [1..N], colors ignored, as a sorted
     tuple, in enumeration order; a set repeats once per solution that has
     it.  Whether a solution is monochromatic depends only on its value set."""
-    for assignment in _solutions_in_class(sys, list(range(1, N + 1)), nodes):
+    for assignment in _Plan(sys).solutions(list(range(1, N + 1)), nodes):
         yield tuple(sorted(set(assignment.values())))
 
 

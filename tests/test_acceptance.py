@@ -35,8 +35,6 @@ from radolab.radomat import (
 )
 from radolab.search import (
     SearchBudget,
-    _Nodes,
-    _has_mono_solution,
     export_cnf,
     find_mono_solution,
     rado_number,
@@ -118,7 +116,7 @@ def test_criterion_2_worked_examples():
 def _brute_force_avoider_exists(sys, r, N):
     for colors in itertools.product(range(r), repeat=N):
         c = Coloring(N=N, r=r, colors=colors)
-        if not _has_mono_solution(sys, c, _Nodes(None)):
+        if find_mono_solution(sys, c, SearchBudget(N=c.N)) is None:
             return c
     return None
 

@@ -159,6 +159,21 @@ def test_solve_reports_the_range_a_short_coloring_file_allows(capsys, tmp_path):
     assert payload["budget"]["range"] == 5
 
 
+def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
+    # x + y = z together with 5 = 0 has no solution at all
+    terms = [{"coeff": c, "monomial": {v: 1}} for c, v in ((1, "x"), (1, "y"), (-1, "z"))]
+    system = {
+        "name": "schur-and-5=0",
+        "variables": ["x", "y", "z"],
+        "equations": [{"terms": terms}, {"terms": [{"coeff": 5}]}],
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, _ = run(capsys, ["solve", str(path), "--coloring", "all-one", "--range", "10"])
+    assert code == 1
+    assert out.startswith("NONE-IN-RANGE")
+
+
 def test_solve_concluding_1_keeps_status_label(capsys):
     code, out, _ = run(
         capsys,

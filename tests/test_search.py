@@ -1,7 +1,9 @@
-"""Tests for the two search engines and the CNF export."""
+"""Tests for the solution search, the Rado-number search and the CNF export."""
 
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,13 +20,16 @@ from radolab.search import (
     validate_solution,
 )
 from radolab.systems import (
+    DISTINCTNESS,
     Equation,
     EquationSystem,
     Monomial,
     build_nonlinear_rado,
+    eval_equation,
     mult_schur_system,
     schur_system,
     single_equation,
+    system_from_json,
 )
 from radolab.exactq import Matrix
 
@@ -95,6 +100,25 @@ def test_budget_exhaustion_is_distinct():
         find_mono_solution(sys, c, _budget(4, nodes=2))
 
 
+def test_node_budget_boundary():
+    # one node per value tried at an enumerated variable; the last variable
+    # of x + y = 3z is solved from the equation, for free
+    sys = single_equation([1, 1, -3])
+    c = rado_avoider_coloring((1, 1, -3), 5).coloring(200)
+    sizes = [c.colors.count(color) for color in range(c.r)]
+    spent = sum(k + k * k for k in sizes)  # values of x, then of y per x
+    assert spent == 10202
+    assert find_mono_solution(sys, c, _budget(200, nodes=spent)) is None
+    with pytest.raises(BudgetExhausted):
+        find_mono_solution(sys, c, _budget(200, nodes=spent - 1))
+    # in a polynomial system too: z of x*y = z is solved, so (1, 1, 1) costs 2
+    sys = mult_schur_system()
+    rec = find_mono_solution(sys, all_one_coloring(6), _budget(6, nodes=2))
+    assert rec.assignment == {"x": 1, "y": 1, "z": 1}
+    with pytest.raises(BudgetExhausted):
+        find_mono_solution(sys, all_one_coloring(6), _budget(6, nodes=1))
+
+
 def test_distinctness_flags():
     sys_rep = single_equation([1, 1, -2])  # x + y = 2z
     sys_non = single_equation([1, 1, -2], distinctness="nontrivial")
@@ -120,19 +144,72 @@ def test_determinism():
     assert recs[0] == recs[1] == recs[2]
 
 
-def test_linear_and_generic_engines_agree():
-    """Force both engines over the same systems and compare enumerations."""
-    from radolab.search import _search_generic, _search_linear, _Nodes
+def _brute_force_solutions(sys, N):
+    """Every solution in [1..N], in lexicographic order, by trying every
+    tuple of values."""
+    out = []
+    for values in itertools.product(range(1, N + 1), repeat=len(sys.variables)):
+        if sys.distinctness == "all-distinct" and len(set(values)) < len(values):
+            continue
+        if sys.distinctness == "nontrivial" and len(set(values)) == 1:
+            continue
+        assignment = dict(zip(sys.variables, values))
+        if all(eval_equation(eq, assignment) == 0 for eq in sys.equations):
+            out.append(assignment)
+    return out
 
+
+def test_enumerate_solutions_matches_brute_force():
     rng = random.Random(55)
-    for _ in range(40):
-        k = rng.randint(2, 3)
-        coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k)]
-        sys = single_equation(coeffs)
-        values = sorted(rng.sample(range(1, 13), rng.randint(3, 8)))
-        a = list(_search_linear(sys, values, set(values), _Nodes(None)))
-        b = list(_search_generic(sys, values, set(values), _Nodes(None)))
-        assert a == b
+
+    def coeff():
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+
+    def linear(names):
+        return Equation([(coeff(), Monomial({v: 1})) for v in names])
+
+    polys = [poly_parse(t) for t in ("z", "z^2", "z^2 + z", "2z^2 - z", "z^3", "z^3 - z")]
+    crit8 = Matrix([[1, 2, -3], [2, -1, -1]])
+    suite = [
+        single_equation([Fraction(1, 2), Fraction(1, 2), -1]),
+        build_nonlinear_rado(crit8, [poly_parse("z^2 + z"), poly_parse("z^3")]),
+    ]
+    for _ in range(8):
+        suite.append(single_equation([coeff() for _ in range(rng.randint(2, 4))]))
+        names = ("a", "b", "c", "d")
+        eqs = (linear(rng.sample(names, 3)), linear(rng.sample(names, 2)))
+        suite.append(EquationSystem(name="two-linear", variables=names, equations=eqs))
+        rows = [[coeff() for _ in range(3)] for _ in range(rng.randint(1, 2))]
+        suite.append(build_nonlinear_rado(Matrix(rows), [rng.choice(polys) for _ in rows]))
+    found = 0
+    for sys in suite:
+        N = 7 if len(sys.variables) <= 4 else 5
+        for policy in DISTINCTNESS:
+            sys = dataclasses.replace(sys, distinctness=policy)
+            expect = _brute_force_solutions(sys, N)
+            assert list(enumerate_solutions(sys, N)) == expect, (sys, N)
+            found += len(expect)
+    assert found > 100
+
+
+def test_variable_free_equation_is_checked():
+    x_plus_y = [{"coeff": 1, "monomial": {"x": 1}}, {"coeff": 1, "monomial": {"y": 1}}]
+    data = {
+        "name": "schur-and-5=0",
+        "variables": ["x", "y", "z"],
+        "equations": [
+            {"terms": x_plus_y + [{"coeff": -1, "monomial": {"z": 1}}]},
+            {"terms": [{"coeff": 5}]},
+        ],
+    }
+    sys = system_from_json(data)
+    assert find_mono_solution(sys, all_one_coloring(10), _budget(10)) is None
+    assert list(enumerate_solutions(sys, 6)) == []
+    # 0 = 0 constrains nothing
+    data["equations"][1] = {"terms": [{"coeff": 0}]}
+    sys = system_from_json(data)
+    rec = find_mono_solution(sys, all_one_coloring(10), _budget(10))
+    assert rec.assignment == {"x": 1, "y": 1, "z": 2}
 
 
 def test_validate_solution_rejects_bad_records():
@@ -172,13 +249,11 @@ def test_enumerate_solutions():
 def _brute_force_rado(sys, r, N_max):
     """Try every r-coloring of [1..N] for each N; the first N with no
     avoiding coloring is the number."""
-    from radolab.search import _has_mono_solution, _Nodes
-
     for N in range(1, N_max + 1):
         avoider = None
         for colors in itertools.product(range(r), repeat=N):
             c = Coloring(N=N, r=r, colors=colors)
-            if not _has_mono_solution(sys, c, _Nodes(None)):
+            if find_mono_solution(sys, c, _budget(N)) is None:
                 avoider = c
                 break
         if avoider is None:
@@ -194,10 +269,8 @@ def test_rado_number_schur():
 
 
 def test_rado_number_attached_avoider_avoids():
-    from radolab.search import _has_mono_solution, _Nodes
-
     res = rado_number(schur_system(), 2, _budget(6))
-    assert not _has_mono_solution(schur_system(), res.avoider, _Nodes(None))
+    assert find_mono_solution(schur_system(), res.avoider, _budget(res.avoider.N)) is None
 
 
 def test_rado_number_vdw_3ap():
@@ -209,6 +282,12 @@ def test_rado_number_vdw_3ap():
 def test_rado_number_trivial_r1():
     res = rado_number(single_equation([1, 1, -2]), 1, _budget(3))
     assert res.value == 1
+
+
+def test_rado_number_node_counts():
+    # the counts perfbench/counts.py reports; a change of node unit moves them
+    assert rado_number(schur_system(), 3, _budget(60)).nodes == 1322
+    assert rado_number(single_equation([1, 1, -3]), 2, _budget(60)).nodes == 363
 
 
 def test_rado_number_budget_exhaustion():
@@ -244,13 +323,11 @@ def _first_canonical_avoider(sys, r, N):
     """The first coloring of [1..N], in lexicographic order, that colors 1
     with 0, introduces new colors in ascending order and has no
     monochromatic solution; None when there is none."""
-    from radolab.search import _has_mono_solution, _Nodes
-
     for colors in itertools.product(range(r), repeat=N):
         if any(c > max(colors[:i], default=-1) + 1 for i, c in enumerate(colors)):
             continue
         c = Coloring(N=N, r=r, colors=colors)
-        if not _has_mono_solution(sys, c, _Nodes(None)):
+        if find_mono_solution(sys, c, _budget(N)) is None:
             return c
     return None
 
@@ -288,9 +365,7 @@ def test_rado_number_vdw_3_colors_is_27():
     res = rado_number(sys, 3, SearchBudget(N=30, node_limit=500_000))
     assert res.value == 27 and not res.exhausted
     assert res.avoider.N == 26
-    from radolab.search import _has_mono_solution, _Nodes
-
-    assert not _has_mono_solution(sys, res.avoider, _Nodes(None))
+    assert find_mono_solution(sys, res.avoider, _budget(26)) is None
     assert _cnf_satisfied_by(export_cnf(sys, 3, 26), res.avoider)
 
 
