@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Exit codes: 0 affirmative/found, 1 negative/not-found, 2 usage or parse
-error, 3 budget exhausted.
+error, 3 budget exhausted (export-cnf: enumeration truncated).
 """
 
 from __future__ import annotations
@@ -265,16 +265,24 @@ def cmd_export_cnf(args) -> int:
     elapsed = time.perf_counter() - t0
     with open(args.out, "w") as fh:
         fh.write(text)
-    header = next(ln for ln in text.splitlines() if ln.startswith("p cnf"))
+    lines = text.splitlines()
+    header = next(ln for ln in lines if ln.startswith("p cnf"))
+    truncated = search.CNF_TRUNCATED in lines[: lines.index(header)]
+    human = f"WROTE {args.out} ({header})"
+    if truncated:
+        human += (
+            f"; TRUNCATED: solution enumeration hit the {search.CNF_TUPLE_LIMIT:,}-node tuple"
+            " limit, so the instance under-approximates"
+        )
     _report(
         args,
         "export-cnf",
         {"system": sys_.name, "colors": args.colors, "range": args.range},
-        {"file": args.out, "header": header},
+        {"file": args.out, "header": header, "truncated": truncated},
         elapsed,
-        f"WROTE {args.out} ({header})",
+        human,
     )
-    return EXIT_FOUND
+    return EXIT_BUDGET if truncated else EXIT_FOUND
 
 
 def cmd_fsfp(args) -> int:
@@ -390,8 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="search node limit: a node is one value tried for a variable that no equation"
-        " fixes (a value solved from an equation is free); rado-number also counts one node"
-        " per color tried for one integer; other commands ignore it",
+        " fixes (a value solved from an equation is free, and interchangeable variables take"
+        " nondecreasing values, so each solution is reached once up to their order);"
+        " rado-number also counts one node per color tried for one integer; other commands"
+        " ignore it",
     )
     common.add_argument("--range", type=int, default=100, metavar="N", help="integer range bound [1..N]")
     common.add_argument("--colors", type=int, default=2, metavar="R", help="number of colors")

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +74,16 @@ class _Plan:
     only term in i is c * i is used first); every closing equation is checked
     against the value.  A variable-free equation with a nonzero constant
     leaves no solutions.
+
+    Variables i < j are interchangeable when swapping them maps the
+    equations, each in the form `_canonical` gives, onto the same multiset;
+    the distinctness policies are invariant under every permutation.  The
+    relation is transitive ((i k) = (i j)(j k)(i j)), so it splits the
+    variables into classes, and the search gives the members of a class
+    nondecreasing values in declaration order: one solution per orbit of
+    the permutations within classes.  The lexicographically least solution
+    is among them, since swapping a[i] > a[j] for interchangeable i < j gives
+    a smaller one.
     """
 
     def __init__(self, sys: EquationSystem):
@@ -86,6 +97,7 @@ class _Plan:
         self.closes = [[] for _ in index]  # (e, [(c, x, others)])
         self.pivot = [None] * len(index)  # (e, c): c * i is e's only term in i
         self.linear = [[] for _ in index]  # (e, [(c, others)]): e is linear in i
+        forms = []  # the canonical form of each equation
         for eq in sys.equations:
             scale = math.lcm(*(Fraction(c).denominator for c, _ in eq.terms))
             const, terms = 0, []
@@ -98,6 +110,7 @@ class _Plan:
             if not terms:
                 self.unsolvable |= const != 0
                 continue
+            forms.append(_canonical(terms + [(const, [])]))
             e = len(self.const)
             self.const.append(const)
             top = max(m[-1][0] for _, m in terms)
@@ -113,6 +126,21 @@ class _Plan:
                 self.linear[top].append((e, [(c, others) for c, _, others in own]))
                 if self.pivot[top] is None and len(own) == 1 and not own[0][2]:
                     self.pivot[top] = (e, own[0][0])
+        # prev[i]: the previous member of i's class, or i itself when there is
+        # none; i is unset (0) while its value is decided, so a[prev[i]] is
+        # the lower bound of i's value either way
+        self.prev = list(range(len(index)))
+        self.classes = []
+        forms.sort()
+        for i in range(len(index)):
+            if self.prev[i] != i:
+                continue
+            members = [i]
+            for j in range(i + 1, len(index)):
+                if self.prev[j] == j and _swapped(forms, i, j) == forms:
+                    self.prev[j] = members[-1]
+                    members.append(j)
+            self.classes.append(tuple(self.names[k] for k in members))
 
     def solutions(self, values, nodes):
         """Every solution with all its values in `values` (ascending), in
@@ -121,7 +149,7 @@ class _Plan:
         if self.unsolvable:
             return
         n = len(self.names)
-        feeds, closes, distinct = self.feeds, self.closes, self.distinct
+        feeds, closes, distinct, prev = self.feeds, self.closes, self.distinct, self.prev
         value_set = set(values)
         res = list(self.const)
         a = [0] * n  # a[i]: value of variable i, 0 while unset
@@ -148,8 +176,9 @@ class _Plan:
             return _ENUMERATE
 
         def place(i, v):
-            # set i to v if distinctness and the equations closing at i allow
-            if distinct and v in a:
+            # set i to v if its class order, distinctness and the equations
+            # closing at i allow
+            if v < a[prev[i]] or distinct and v in a:
                 return False
             for e, own in closes[i]:
                 if res[e] + sum(c * v**x * prod(others) for c, x, others in own):
@@ -169,7 +198,11 @@ class _Plan:
             w = forced(i)
             if w is None:
                 return
-            cands, spend = (values, nodes.spend) if w is _ENUMERATE else ((w,), None)
+            lo = a[prev[i]]
+            if w is _ENUMERATE:
+                cands, spend = (values[bisect_left(values, lo) :] if lo else values), nodes.spend
+            else:
+                cands, spend = ((w,) if w >= lo else ()), None
             # the earlier variables are set, so each term of i is k * v^x
             fed = [(e, c * prod(others), x) for e, c, x, others in feeds[i]]
             checks = [(e, [(c * prod(others), x) for c, x, others in own]) for e, own in closes[i]]
@@ -226,6 +259,26 @@ class _Plan:
             yield from dfs(0)
 
 
+def _canonical(terms):
+    """An equation given as integer terms [(c, [(variable, exponent), ...])]
+    in a form shared by its nonzero multiples and by no other equation:
+    coefficients divided by their gcd, terms sorted, the first coefficient
+    positive.  The constant term has the empty monomial."""
+    terms = sorted((tuple(sorted(m)), c) for c, m in terms if c)
+    g = math.gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        g = -g
+    return tuple((m, c // g) for m, c in terms)
+
+
+def _swapped(forms, i, j):
+    """The sorted canonical forms after variables i and j swap names."""
+    rename = {i: j, j: i}
+    return sorted(
+        _canonical([(c, [(rename.get(k, k), x) for k, x in m]) for m, c in form]) for form in forms
+    )
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -267,16 +320,11 @@ def validate_solution(sys: EquationSystem, c: Coloring, rec: SolutionRecord) -> 
     return True
 
 
-def enumerate_solutions(sys: EquationSystem, N: int, limit: int = None):
-    """All solution tuples within [1..N], colors ignored.  Yields assignment
-    dicts; raises BudgetExhausted when `limit` nodes are spent."""
-    yield from _Plan(sys).solutions(list(range(1, N + 1)), _Nodes(limit))
-
-
 def _value_sets(sys, N, nodes):
     """The value set of every solution in [1..N], colors ignored, as a sorted
-    tuple, in enumeration order; a set repeats once per solution that has
-    it.  Whether a solution is monochromatic depends only on its value set."""
+    tuple, in enumeration order; a set can repeat.  Whether a solution is
+    monochromatic depends only on its value set, which is the same for every
+    solution in an orbit."""
     for assignment in _Plan(sys).solutions(list(range(1, N + 1)), nodes):
         yield tuple(sorted(set(assignment.values())))
 
@@ -320,6 +368,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
         raise ValueError("r must be >= 1")
     N = budget.N
     nodes = _Nodes(budget.node_limit)
+    cap = math.inf if budget.node_limit is None else budget.node_limit
     colors = [0] * (N + 1)  # colors[k]: color of k in the current prefix
     next_color = [0] * (N + 2)  # next color to try at depth k
     used = [0] * (N + 2)  # number of colors used by 1..k-1
@@ -338,7 +387,10 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                     masks[colors[k]] ^= 1 << k
                 continue
             next_color[k] = c + 1
-            nodes.spend()
+            nodes.count += 1  # nodes.spend() inline: this loop is the hot path
+            if nodes.count > cap:
+                exhausted = True
+                break
             if k > M:
                 M = min(N, max(8, 2 * M))
                 by_max = _solution_index(sys, M, nodes)
@@ -353,7 +405,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                     best = tuple(colors[1 : k + 1])
                     if k == N:
                         break
-                used[k + 1] = max(used[k], c + 1)
+                used[k + 1] = used[k] if used[k] > c else c + 1
                 next_color[k + 1] = 0
                 k += 1
     except BudgetExhausted:
@@ -369,13 +421,17 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
 # CNF export
 
 
-def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = 200000) -> str:
+CNF_TUPLE_LIMIT = 200000  # default node limit of the enumeration behind export_cnf
+CNF_TRUNCATED = "c WARNING: solution-tuple enumeration truncated; instance under-approximates"
+
+
+def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = CNF_TUPLE_LIMIT) -> str:
     """DIMACS CNF that is satisfiable iff an avoiding r-coloring of [1..N]
     exists.  Variables v(n,c) = (n-1)*r + c + 1; clauses give each integer
     exactly one color and block every solution tuple from being monochromatic.
 
     When tuple enumeration hits `tuple_limit` nodes the instance is an
-    under-approximation and carries a truncation comment.
+    under-approximation and carries the comment line `CNF_TRUNCATED`.
     """
     if r < 1 or N < 1:
         raise ValueError("r and N must be positive")
@@ -401,7 +457,7 @@ def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = 200000) -
         "c variable numbering: v(n,c) = (n-1)*r + c + 1",
     ]
     if truncated:
-        lines.append("c WARNING: solution-tuple enumeration truncated; instance under-approximates")
+        lines.append(CNF_TRUNCATED)
     lines.append(f"p cnf {nvars} {len(clauses)}")
     for cl in clauses:
         lines.append(" ".join(str(x) for x in cl) + " 0")

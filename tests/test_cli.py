@@ -249,6 +249,28 @@ def test_export_cnf(capsys, tmp_path):
     assert "p cnf 10 " in text
 
 
+def test_export_cnf_truncated_exits_3(capsys, tmp_path):
+    # x1+x2+x3+x4 = x5 over [1..60] needs more than the 200,000-node limit
+    argv = ["export-cnf", "equation(1,1,1,1,-1)", "--range", "60", "--out", str(tmp_path / "g.cnf")]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert "TRUNCATED" in out and "200,000-node tuple limit" in out
+    assert "under-approximates" in (tmp_path / "g.cnf").read_text()
+    code, report = run_json(capsys, argv)
+    assert code == 3
+    assert report["outcome"]["truncated"] is True
+
+
+def test_export_cnf_complete_reports_not_truncated(capsys, tmp_path):
+    # one solution per orbit of x1..x4 keeps [1..40] within the limit
+    out_path = tmp_path / "g.cnf"
+    argv = ["export-cnf", "equation(1,1,1,1,-1)", "--range", "40", "--out", str(out_path)]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["outcome"] == {"file": str(out_path), "header": "p cnf 80 10288", "truncated": False}
+    assert "WARNING" not in out_path.read_text()
+
+
 # ---------------------------------------------------------------------------
 # fsfp / polyvdw
 

@@ -13,7 +13,9 @@ from radolab.search import (
     BudgetExhausted,
     SearchBudget,
     SolutionRecord,
-    enumerate_solutions,
+    _Nodes,
+    _Plan,
+    _value_sets,
     export_cnf,
     find_mono_solution,
     rado_number,
@@ -106,8 +108,10 @@ def test_node_budget_boundary():
     sys = single_equation([1, 1, -3])
     c = rado_avoider_coloring((1, 1, -3), 5).coloring(200)
     sizes = [c.colors.count(color) for color in range(c.r)]
-    spent = sum(k + k * k for k in sizes)  # values of x, then of y per x
-    assert spent == 10202
+    # the k values of x, then the values of y from x's on (x and y are
+    # interchangeable, so y >= x)
+    spent = sum(k + k * (k + 1) // 2 for k in sizes)
+    assert spent == 5301
     assert find_mono_solution(sys, c, _budget(200, nodes=spent)) is None
     with pytest.raises(BudgetExhausted):
         find_mono_solution(sys, c, _budget(200, nodes=spent - 1))
@@ -159,7 +163,19 @@ def _brute_force_solutions(sys, N):
     return out
 
 
-def test_enumerate_solutions_matches_brute_force():
+def _eq(*terms):
+    """An equation from (coefficient, {variable: exponent}) pairs."""
+    return Equation([(c, Monomial(m)) for c, m in terms])
+
+
+def _system(variables, *equations):
+    return EquationSystem(name="test", variables=tuple(variables), equations=equations)
+
+
+def _brute_force_suite():
+    """Systems of every kind for the brute-force checks below, each with
+    the range N it is checked on, and with interchangeable variables among
+    both the enumerated and the solved ones."""
     rng = random.Random(55)
 
     def coeff():
@@ -170,9 +186,17 @@ def test_enumerate_solutions_matches_brute_force():
 
     polys = [poly_parse(t) for t in ("z", "z^2", "z^2 + z", "2z^2 - z", "z^3", "z^3 - z")]
     crit8 = Matrix([[1, 2, -3], [2, -1, -1]])
+    x, y, z, w = ({v: 1} for v in "xyzw")
     suite = [
         single_equation([Fraction(1, 2), Fraction(1, 2), -1]),
+        single_equation([1, 1, 1, -1]),
         build_nonlinear_rado(crit8, [poly_parse("z^2 + z"), poly_parse("z^3")]),
+        # the last variable is solved, and interchangeable with the others
+        _system("xyz", _eq((1, x), (1, y), (1, z), (-12, {}))),
+        _system("xy", _eq((1, {"x": 1, "y": 1}), (-12, {}))),
+        # x ~ y only when both equations swap together
+        _system("xyz", _eq((1, x), (2, y), (-1, z)), _eq((2, x), (1, y), (-1, z))),
+        _system("xyzw", _eq((1, x), (1, y), (-1, z), (-1, w))),
     ]
     for _ in range(8):
         suite.append(single_equation([coeff() for _ in range(rng.randint(2, 4))]))
@@ -181,15 +205,79 @@ def test_enumerate_solutions_matches_brute_force():
         suite.append(EquationSystem(name="two-linear", variables=names, equations=eqs))
         rows = [[coeff() for _ in range(3)] for _ in range(rng.randint(1, 2))]
         suite.append(build_nonlinear_rado(Matrix(rows), [rng.choice(polys) for _ in rows]))
-    found = 0
     for sys in suite:
         N = 7 if len(sys.variables) <= 4 else 5
         for policy in DISTINCTNESS:
-            sys = dataclasses.replace(sys, distinctness=policy)
-            expect = _brute_force_solutions(sys, N)
-            assert list(enumerate_solutions(sys, N)) == expect, (sys, N)
-            found += len(expect)
+            yield dataclasses.replace(sys, distinctness=policy), N
+
+
+def test_interchangeable_variables_are_detected():
+    x, y, z, w = ({v: 1} for v in "xyzw")
+    cases = [
+        (schur_system(), [("x", "y"), ("z",)]),
+        (single_equation([1, 1, 1, 1, -1]), [("v1", "v2", "v3", "v4"), ("v5",)]),
+        (mult_schur_system(), [("x", "y"), ("z",)]),
+        (single_equation([Fraction(1, 2), Fraction(1, 2), -1]), [("v1", "v2"), ("v3",)]),
+        (single_equation([-2, -2, 4]), [("v1", "v2"), ("v3",)]),
+        # x + y = z with x * y = w
+        (
+            _system("xyzw", _eq((1, x), (1, y), (-1, z)), _eq((1, {"x": 1, "y": 1}), (-1, w))),
+            [("x", "y"), ("z",), ("w",)],
+        ),
+        # x + 2y = z with 2x + y = z: neither equation alone is symmetric
+        (
+            _system("xyz", _eq((1, x), (2, y), (-1, z)), _eq((2, x), (1, y), (-1, z))),
+            [("x", "y"), ("z",)],
+        ),
+        # near misses
+        (single_equation([1, 2, -1]), [("v1",), ("v2",), ("v3",)]),
+        (
+            _system("xyzw", _eq((1, x), (1, y), (-1, z)), _eq((1, x), (-2, w))),
+            [("x",), ("y",), ("z",), ("w",)],
+        ),
+        (_system("xyzw", _eq((1, x), (1, y), (-1, z), (-1, w))), [("x", "y"), ("z", "w")]),
+        (_system("xy", _eq((1, {"x": 2}), (-1, y))), [("x",), ("y",)]),
+    ]
+    for sys, classes in cases:
+        assert _Plan(sys).classes == classes, sys
+
+
+def test_value_sets_match_brute_force():
+    found = 0
+    for sys, N in _brute_force_suite():
+        expect = {tuple(sorted(set(s.values()))) for s in _brute_force_solutions(sys, N)}
+        assert set(_value_sets(sys, N, _Nodes(None))) == expect, (sys, N)
+        found += len(expect)
     assert found > 100
+
+
+def test_plan_yields_one_solution_per_orbit():
+    # exactly the solutions whose interchangeable variables take
+    # nondecreasing values, in lexicographic order
+    for sys, N in _brute_force_suite():
+        plan = _Plan(sys)
+        expect = [
+            s for s in _brute_force_solutions(sys, N)
+            if all(s[u] <= s[v] for cls in plan.classes for u, v in zip(cls, cls[1:]))
+        ]
+        assert list(plan.solutions(list(range(1, N + 1)), _Nodes(None))) == expect, (sys, N)
+
+
+def test_find_mono_solution_is_brute_force_lexicographically_least():
+    rng = random.Random(56)
+    for sys, N in _brute_force_suite():
+        solutions = _brute_force_solutions(sys, N)
+        for r in (2, 3):
+            c = Coloring(N=N, r=r, colors=tuple(rng.randrange(r) for _ in range(N)))
+            expect = None
+            for color in range(r):
+                mono = [s for s in solutions if all(c.color_of(v) == color for v in s.values())]
+                if mono:
+                    expect = (mono[0], color)
+                    break
+            rec = find_mono_solution(sys, c, _budget(N))
+            got = None if rec is None else (rec.assignment, rec.color)
+            assert got == expect, (sys, c)
 
 
 def test_variable_free_equation_is_checked():
@@ -204,7 +292,7 @@ def test_variable_free_equation_is_checked():
     }
     sys = system_from_json(data)
     assert find_mono_solution(sys, all_one_coloring(10), _budget(10)) is None
-    assert list(enumerate_solutions(sys, 6)) == []
+    assert list(_value_sets(sys, 6, _Nodes(None))) == []
     # 0 = 0 constrains nothing
     data["equations"][1] = {"terms": [{"coeff": 0}]}
     sys = system_from_json(data)
@@ -228,18 +316,17 @@ def test_validate_solution_rejects_bad_records():
     assert not validate_solution(sys, c2, bad_color)
 
 
-def test_enumerate_solutions():
-    sys = schur_system()
-    sols = list(enumerate_solutions(sys, 4))
+def test_schur_solutions_one_per_orbit():
+    # x and y are interchangeable: (2, 1, 3) and (3, 1, 4) are not repeated
+    sols = list(_Plan(schur_system()).solutions([1, 2, 3, 4], _Nodes(None)))
     expected = [
         {"x": 1, "y": 1, "z": 2},
         {"x": 1, "y": 2, "z": 3},
         {"x": 1, "y": 3, "z": 4},
-        {"x": 2, "y": 1, "z": 3},
         {"x": 2, "y": 2, "z": 4},
-        {"x": 3, "y": 1, "z": 4},
     ]
     assert sols == expected
+    assert set(_value_sets(schur_system(), 4, _Nodes(None))) == {(1, 2), (1, 2, 3), (1, 3, 4), (2, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +373,8 @@ def test_rado_number_trivial_r1():
 
 def test_rado_number_node_counts():
     # the counts perfbench/counts.py reports; a change of node unit moves them
-    assert rado_number(schur_system(), 3, _budget(60)).nodes == 1322
-    assert rado_number(single_equation([1, 1, -3]), 2, _budget(60)).nodes == 363
+    assert rado_number(schur_system(), 3, _budget(60)).nodes == 1174
+    assert rado_number(single_equation([1, 1, -3]), 2, _budget(60)).nodes == 215
 
 
 def test_rado_number_budget_exhaustion():
