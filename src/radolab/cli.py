@@ -97,16 +97,20 @@ def _parse_poly_list(text: str):
     return [poly_parse(t) for t in text.split(",") if t.strip()]
 
 
-def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, human: str, searched=None):
+def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, human: str, searched=None, node_limit=None):
     """Print the run report.  `searched` is the range actually searched,
-    which can be smaller than --range; --range is reported without it."""
+    which can be smaller than --range; --range is reported without it.
+    `node_limit` is the node limit applied when it is not --budget-nodes."""
     if args.json:
         payload = {
             "command": command,
             "inputs": inputs,
             "outcome": outcome,
             "elapsed_s": round(elapsed, 6),
-            "budget": {"range": searched or getattr(args, "range", None), "node_limit": args.budget_nodes},
+            "budget": {
+                "range": searched or getattr(args, "range", None),
+                "node_limit": node_limit or args.budget_nodes,
+            },
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -244,12 +248,14 @@ def cmd_rado_number(args) -> int:
         "avoider": avoider,
         "nodes": res.nodes,
         "exhausted": res.exhausted,
+        "pruned": res.pruned,
     }
+    counts = f"nodes={res.nodes}, pruned={res.pruned}"
     if res.value is not None:
-        human = f"RADO-NUMBER {res.value} (avoider for N={res.value - 1} attached, nodes={res.nodes})"
+        human = f"RADO-NUMBER {res.value} (avoider for N={res.value - 1} attached, {counts})"
         code = EXIT_FOUND
     elif res.exhausted:
-        human = f"BUDGET (largest avoider N={res.avoider.N if res.avoider else 0}, nodes={res.nodes})"
+        human = f"BUDGET (largest avoider N={res.avoider.N if res.avoider else 0}, {counts})"
         code = EXIT_BUDGET
     else:
         human = f"UNRESOLVED up to N={args.range} (avoider exists at N={args.range})"
@@ -281,6 +287,7 @@ def cmd_export_cnf(args) -> int:
         {"file": args.out, "header": header, "truncated": truncated},
         elapsed,
         human,
+        node_limit=search.CNF_TUPLE_LIMIT,
     )
     return EXIT_BUDGET if truncated else EXIT_FOUND
 
@@ -400,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="search node limit: a node is one value tried for a variable that no equation"
         " fixes (a value solved from an equation is free, and interchangeable variables take"
         " nondecreasing values, so each solution is reached once up to their order);"
-        " rado-number also counts one node per color tried for one integer; other commands"
-        " ignore it",
+        " rado-number also counts one node per color tried for one integer and one per"
+        " value set examined while forbidding colors ahead; export-cnf always applies its"
+        f" fixed {search.CNF_TUPLE_LIMIT:,}-node limit; other commands ignore it",
     )
     common.add_argument("--range", type=int, default=100, metavar="N", help="integer range bound [1..N]")
     common.add_argument("--colors", type=int, default=2, metavar="R", help="number of colors")

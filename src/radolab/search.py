@@ -44,6 +44,7 @@ class RadoNumberResult:
     avoider: Coloring = None
     nodes: int = 0
     exhausted: bool = False
+    pruned: int = 0  # branches cut because an integer had every color forbidden
 
 
 class _Nodes:
@@ -330,16 +331,33 @@ def _value_sets(sys, N, nodes):
 
 
 def _solution_index(sys, M, nodes):
-    """The solution hypergraph on [1..M], indexed by largest member:
-    entry k holds, for each value set whose maximum is k, the bitmask of its
-    other members (bit v stands for the integer v)."""
-    by_max = [set() for _ in range(M + 1)]
+    """The solution hypergraph on [1..M], indexed by second-largest member,
+    and the bitmask of the integers k whose one-member set {k} is a value
+    set.  Entry j of the index holds, for each value set of two or more
+    members whose second-largest member is j, the pair (rest, u): u is the
+    set's maximum and rest the bitmask of its members below j (bit v stands
+    for the integer v)."""
+    index = [set() for _ in range(M + 1)]
+    single = 0
     for s in _value_sets(sys, M, nodes):
-        others = 0
-        for v in s[:-1]:
-            others |= 1 << v
-        by_max[s[-1]].add(others)
-    return [tuple(b) for b in by_max]
+        if len(s) == 1:
+            single |= 1 << s[0]
+            continue
+        rest = 0
+        for v in s[:-2]:
+            rest |= 1 << v
+        index[s[-2]].add((rest, s[-1]))
+    return [tuple(e) for e in index], single
+
+
+def _forbid(f, entries, mask):
+    """The forbid mask f of a color after its class grows to `mask` by the
+    integer j whose index entries are `entries`: each set with all its
+    members below j in the class forbids the color at its maximum."""
+    for rest, u in entries:
+        if rest & mask == rest:
+            f |= 1 << u
+    return f
 
 
 def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumberResult:
@@ -353,29 +371,46 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
     fixed to 0 and new colors are introduced in ascending order.  Avoiding
     colorings are closed under prefixes, and a new monochromatic solution
     must contain the integer k just colored, as the largest member of its
-    value set; so coloring k with c is legal iff no value set with maximum k
-    has all its other members colored c.  The value is 1 + the depth of the
-    deepest avoiding prefix, and the first prefix to reach a depth is the
-    least avoider of that length in search order.
+    value set.  The search forbids colors ahead: the value sets are indexed
+    by their second-largest member j, and when j gets color c, every set
+    under j whose members below j all have color c forbids c at its maximum
+    u.  So coloring k with c is legal iff bit k of the forbid mask of c is
+    clear; a one-member set {k} forbids every color at k.  The forbid masks
+    are restored on backtracking.
+
+    The value is 1 + the depth of the deepest avoiding prefix, and the first
+    prefix to reach a depth is the least avoider of that length in search
+    order.  Branch and bound keeps both: a branch is cut (counted in
+    `pruned`) when an integer u <= len(best) + 1 has every color forbidden,
+    where best is the deepest avoiding prefix found so far.  No extension of
+    such a prefix colors u, so none is deeper than best, and the cut never
+    removes the first prefix to reach a new depth.
 
     The value sets are enumerated once per range [1..M]: M starts at
     min(N, 8) and doubles, up to N, when the search first goes deeper than
-    M.  `nodes` counts enumeration steps plus color assignments tried, both
-    charged to `budget.node_limit`.  A search whose budget runs out during
-    an enumeration never reports a value.
+    M; the forbid masks of the current prefix are then recomputed from the
+    new index.  The search's lists grow with M, not with N.  `nodes` counts
+    enumeration steps, colors tried and value sets examined while forbidding
+    colors, all charged to `budget.node_limit`.  A search whose budget runs
+    out during an enumeration never reports a value.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     N = budget.N
     nodes = _Nodes(budget.node_limit)
     cap = math.inf if budget.node_limit is None else budget.node_limit
-    colors = [0] * (N + 1)  # colors[k]: color of k in the current prefix
-    next_color = [0] * (N + 2)  # next color to try at depth k
-    used = [0] * (N + 2)  # number of colors used by 1..k-1
+    # per depth k, grown with M: colors[k] is the color of k in the current
+    # prefix, undo[k] the forbid mask of that color before k got it,
+    # next_color[k] the next color to try at k, used[k] the number of colors
+    # used by 1..k-1
+    colors, undo, next_color, used = [0], [0], [0, 0], [0, 0]
     masks = [0] * r  # bit k of masks[c]: k is colored c
+    forb = [0] * r  # bit u of forb[c]: coloring u with c completes a set
     M = 0
-    by_max = []
+    index = []
     best = ()  # deepest avoiding prefix found, first in search order
+    reach = 3  # bits 0..len(best) + 1: a wiped-out integer here cuts
+    pruned = 0
     exhausted = False
     try:
         k = 1
@@ -384,7 +419,9 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
             if c > used[k] or c == r:  # depth k is done: back to k - 1
                 k -= 1
                 if k:
-                    masks[colors[k]] ^= 1 << k
+                    c = colors[k]
+                    masks[c] ^= 1 << k
+                    forb[c] = undo[k]
                 continue
             next_color[k] = c + 1
             nodes.count += 1  # nodes.spend() inline: this loop is the hot path
@@ -392,28 +429,55 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                 exhausted = True
                 break
             if k > M:
-                M = min(N, max(8, 2 * M))
-                by_max = _solution_index(sys, M, nodes)
-            mask = masks[c]
-            for others in by_max[k]:
-                if others & mask == others:
+                grown = min(N, max(8, 2 * M))
+                index, single = _solution_index(sys, grown, nodes)
+                for a in (colors, undo, next_color, used):
+                    a.extend([0] * (grown - M))
+                M = grown
+                # the sets with a maximum beyond the old M forbid colors in
+                # the prefix 1..k-1 too: recompute its masks (masks[cd] also
+                # holds integers above d, but no set under d contains them)
+                forb = [single] * r
+                for d in range(1, k):
+                    cd = colors[d]
+                    undo[d] = forb[cd]
+                    nodes.count += len(index[d])
+                    forb[cd] = _forbid(forb[cd], index[d], masks[cd])
+            f = forb[c]
+            if f >> k & 1:
+                continue
+            colors[k] = c
+            undo[k] = f
+            mask = masks[c] = masks[c] | 1 << k
+            nodes.count += len(index[k])
+            f = forb[c] = _forbid(f, index[k], mask)
+            if k > len(best):
+                best = tuple(colors[1 : k + 1])
+                reach = (4 << k) - 1
+                if k == N:
                     break
-            else:
-                colors[k] = c
-                masks[c] = mask | 1 << k
-                if k > len(best):
-                    best = tuple(colors[1 : k + 1])
-                    if k == N:
-                        break
-                used[k + 1] = used[k] if used[k] > c else c + 1
-                next_color[k + 1] = 0
-                k += 1
+            for g in forb:
+                f &= g
+            if f & reach:
+                pruned += 1
+                masks[c] = mask ^ 1 << k
+                forb[c] = undo[k]
+                continue
+            used[k + 1] = used[k] if used[k] > c else c + 1
+            next_color[k + 1] = 0
+            k += 1
     except BudgetExhausted:
         exhausted = True
     avoider = Coloring(N=len(best), r=r, colors=best) if best else None
     value = None if exhausted or len(best) == N else len(best) + 1
     return RadoNumberResult(
-        system=sys.name, r=r, value=value, avoider=avoider, nodes=nodes.count, exhausted=exhausted
+        system=sys.name,
+        r=r,
+        value=value,
+        avoider=avoider,
+        nodes=nodes.count,
+        exhausted=exhausted,
+        pruned=pruned,
     )
 
 

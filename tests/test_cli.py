@@ -230,12 +230,30 @@ def test_rado_number_schur(capsys):
 
 
 def test_rado_number_budget(capsys):
-    code, out, _ = run(
-        capsys,
-        ["rado-number", "schur", "--colors", "2", "--range", "6", "--budget-nodes", "5"],
-    )
+    argv = ["rado-number", "schur", "--colors", "2", "--range", "6", "--budget-nodes", "5"]
+    code, out, _ = run(capsys, argv)
     assert code == 3
-    assert out.startswith("BUDGET (largest avoider N=0, nodes=")
+    assert out.startswith("BUDGET (largest avoider N=0, nodes=") and ", pruned=0)" in out
+    code, payload = run_json(capsys, argv)
+    assert code == 3
+    assert payload["outcome"]["exhausted"] is True and payload["outcome"]["pruned"] == 0
+
+
+def test_rado_number_reports_pruned(capsys):
+    argv = ["rado-number", "schur", "--colors", "3", "--range", "20"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == "RADO-NUMBER 14 (avoider for N=13 attached, nodes=1950, pruned=86)\n"
+    code, payload = run_json(capsys, argv)
+    assert payload["outcome"]["pruned"] == 86
+
+
+@pytest.mark.parametrize("huge", [str(10**20), str(10**15)])
+def test_rado_number_huge_range(capsys, huge):
+    # the search's lists grow with the enumerated range, not with --range
+    code, out, err = run(capsys, ["rado-number", "schur", "--range", huge])
+    assert (code, err) == (0, "")
+    assert out.startswith("RADO-NUMBER 5 ")
 
 
 def test_export_cnf(capsys, tmp_path):
@@ -256,9 +274,11 @@ def test_export_cnf_truncated_exits_3(capsys, tmp_path):
     assert code == 3
     assert "TRUNCATED" in out and "200,000-node tuple limit" in out
     assert "under-approximates" in (tmp_path / "g.cnf").read_text()
-    code, report = run_json(capsys, argv)
+    code, report = run_json(capsys, argv + ["--budget-nodes", "7"])
     assert code == 3
     assert report["outcome"]["truncated"] is True
+    # --budget-nodes is ignored: the report names the limit applied
+    assert report["budget"]["node_limit"] == 200000
 
 
 def test_export_cnf_complete_reports_not_truncated(capsys, tmp_path):

@@ -373,8 +373,30 @@ def test_rado_number_trivial_r1():
 
 def test_rado_number_node_counts():
     # the counts perfbench/counts.py reports; a change of node unit moves them
-    assert rado_number(schur_system(), 3, _budget(60)).nodes == 1174
-    assert rado_number(single_equation([1, 1, -3]), 2, _budget(60)).nodes == 215
+    res = rado_number(schur_system(), 3, _budget(60))
+    assert (res.nodes, res.pruned) == (1950, 86)
+    res = rado_number(single_equation([1, 1, -3]), 2, _budget(60))
+    assert (res.nodes, res.pruned) == (265, 1)
+
+
+def test_rado_number_one_member_sets_forbid_every_color():
+    # x = y = z = k solves x + y = 2z with repeats, so no integer can be colored
+    res = rado_number(single_equation([1, 1, -2]), 3, _budget(10))
+    assert res.value == 1 and not res.exhausted
+    assert res.avoider is None
+    # 44 nodes enumerate [1..8] (8 values of x, 36 of y >= x), 1 is the color tried for 1
+    assert res.nodes == 45 and res.pruned == 0
+
+
+def test_rado_number_across_index_growth():
+    # the value sets are enumerated over [1..8], then [1..16] (Schur) and
+    # [1..32] (x + 3y = z); each growth recomputes the forbid masks of the
+    # prefix, and the first avoider of the longest length is attached
+    for sys, r, value in ((schur_system(), 3, 14), (single_equation([1, 3, -1]), 2, 19)):
+        res = rado_number(sys, r, _budget(40))
+        assert res.value == value and not res.exhausted, sys.name
+        assert res.avoider == _first_canonical_avoider(sys, r, value - 1), sys.name
+        assert _first_canonical_avoider(sys, r, value) is None, sys.name
 
 
 def test_rado_number_budget_exhaustion():
@@ -409,14 +431,24 @@ def test_rado_number_matches_brute_force_suite():
 def _first_canonical_avoider(sys, r, N):
     """The first coloring of [1..N], in lexicographic order, that colors 1
     with 0, introduces new colors in ascending order and has no
-    monochromatic solution; None when there is none."""
-    for colors in itertools.product(range(r), repeat=N):
-        if any(c > max(colors[:i], default=-1) + 1 for i, c in enumerate(colors)):
-            continue
-        c = Coloring(N=N, r=r, colors=colors)
-        if find_mono_solution(sys, c, _budget(N)) is None:
+    monochromatic solution; None when there is none.  Avoiding colorings
+    are closed under prefixes, so a depth-first search in lexicographic
+    order that drops every prefix with a monochromatic solution meets them
+    in that order."""
+
+    def extend(colors):
+        c = Coloring(N=len(colors), r=r, colors=colors)
+        if find_mono_solution(sys, c, _budget(len(colors))) is not None:
+            return None
+        if len(colors) == N:
             return c
-    return None
+        for col in range(min(r, max(colors) + 2)):
+            found = extend(colors + (col,))
+            if found is not None:
+                return found
+        return None
+
+    return extend((0,))
 
 
 def _cnf_satisfied_by(text, coloring):
