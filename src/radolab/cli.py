@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
-from fractions import Fraction
 
 from . import colorings, radomat, search, systems
-from .exactq import Matrix, kernel_basis, parse_scalar, scalar_str
+from .exactq import Matrix, kernel_basis, parse_scalar
 from .polyring import poly_parse
 
 EXIT_FOUND = 0
@@ -22,13 +22,18 @@ EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# the largest --range of a command that builds [1..N] (a colouring or the CNF
+# variables); rado-number is exempt, since its lists grow with the range it
+# has enumerated, not with --range
+MAX_RANGE = 10**6
+
 
 class CliError(Exception):
     pass
 
 
 def _scalar_json(v):
-    return v if isinstance(v, int) else scalar_str(v)
+    return v if isinstance(v, int) else str(v)
 
 
 def _assignment_json(assignment: dict) -> dict:
@@ -56,6 +61,15 @@ def _load_system(spec: str) -> systems.EquationSystem:
         raise CliError(f"bad system spec {spec!r}: {exc}") from exc
 
 
+def _check_range(args) -> None:
+    if args.range > MAX_RANGE:
+        raise CliError(f"--range {args.range} is above {MAX_RANGE:,}, the largest range [1..N] this command builds")
+
+
+def _bad_spec(spec: str, form: str) -> CliError:
+    return CliError(f"bad coloring spec {spec!r}: expected {form}")
+
+
 def _load_coloring(spec: str, N: int, r: int, seed: int) -> colorings.Coloring:
     spec = spec.strip()
     if spec == "all-one":
@@ -63,20 +77,17 @@ def _load_coloring(spec: str, N: int, r: int, seed: int) -> colorings.Coloring:
     if spec == "parity":
         return colorings.parity_coloring(N)
     if spec.startswith("random"):
-        s = seed
-        if "(" in spec:
-            inner = spec[spec.index("(") + 1 : spec.rindex(")")].strip()
-            if inner:
-                s = int(inner)
-        return colorings.random_coloring(N, r, s)
+        m = re.fullmatch(r"random(?:\(\s*(-?\d+)?\s*\))?", spec)
+        if m is None:
+            raise _bad_spec(spec, "random or random(seed)")
+        return colorings.random_coloring(N, r, seed if m[1] is None else int(m[1]))
     if spec.startswith("rado-avoider"):
-        inner = spec[spec.index("(") + 1 : spec.rindex(")")]
-        coeff_part, _, p_part = inner.partition(";")
-        if not p_part:
-            raise CliError("rado-avoider spec is rado-avoider(c1,c2,...;p)")
-        coeffs = [int(t) for t in coeff_part.split(",") if t.strip()]
+        m = re.fullmatch(r"rado-avoider\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*;\s*(\d+)\s*\)", spec)
+        if m is None:
+            raise _bad_spec(spec, "rado-avoider(c1,c2,...;p)")
+        coeffs = [int(t) for t in m[1].split(",")]
         try:
-            gen = colorings.rado_avoider_coloring(coeffs, int(p_part))
+            gen = colorings.rado_avoider_coloring(coeffs, int(m[2]))
         except ValueError as exc:
             raise CliError(f"avoider generator refused: {exc}") from exc
         return gen.coloring(N)
@@ -161,7 +172,7 @@ def cmd_kernel(args) -> int:
     t0 = time.perf_counter()
     basis = kernel_basis(A)
     elapsed = time.perf_counter() - t0
-    human = "\n".join(" ".join(scalar_str(e) for e in v) for v in basis) or "(trivial kernel)"
+    human = "\n".join(" ".join(str(e) for e in v) for v in basis) or "(trivial kernel)"
     outcome = {"basis": [[_scalar_json(e) for e in v] for v in basis]}
     _report(args, "kernel", {"matrix": A.to_text()}, outcome, elapsed, human)
     return EXIT_FOUND if basis else EXIT_NOT_FOUND
@@ -178,7 +189,7 @@ def cmd_constant_solution(args) -> int:
     elapsed = time.perf_counter() - t0
     if d is not None:
         outcome = {"constant": _scalar_json(d)}
-        human = f"CONSTANT d = {scalar_str(d)}"
+        human = f"CONSTANT d = {d}"
     else:
         outcome = {"constant": None}
         human = "NO CONSTANT SOLUTION"
@@ -200,6 +211,7 @@ def _apply_distinct(sys: systems.EquationSystem, args) -> systems.EquationSystem
 
 
 def cmd_solve(args) -> int:
+    _check_range(args)
     sys_ = _apply_distinct(_load_system(args.system), args)
     col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
     searched = min(args.range, col.N)  # a coloring file may be shorter than --range
@@ -265,6 +277,7 @@ def cmd_rado_number(args) -> int:
 
 
 def cmd_export_cnf(args) -> int:
+    _check_range(args)
     sys_ = _apply_distinct(_load_system(args.system), args)
     t0 = time.perf_counter()
     text = search.export_cnf(sys_, args.colors, args.range)
@@ -293,6 +306,7 @@ def cmd_export_cnf(args) -> int:
 
 
 def cmd_fsfp(args) -> int:
+    _check_range(args)
     col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
     t0 = time.perf_counter()
     w = colorings.search_fsfp(col, args.depth)
@@ -308,6 +322,7 @@ def cmd_fsfp(args) -> int:
 
 
 def cmd_polyvdw(args) -> int:
+    _check_range(args)
     col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
     try:
         polys = _parse_poly_list(args.polys)

@@ -1,5 +1,5 @@
-"""Finite colorings of [1..N], finite-sums/products structures, regular
-families, and the finite witness searches built on them."""
+"""Finite colorings of [1..N], finite-sums/products structures, and the
+finite witness searches built on them."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import random as _random
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import gcd
-
-from .polyring import Poly
 
 MAX_SEQ = 20
 MAX_SELECTORS = 10**6
@@ -39,12 +37,6 @@ class Coloring:
         if k < 1 or k > self.N:
             raise ColoringTooShort(f"{k} outside [1..{self.N}]")
         return self.colors[k - 1]
-
-    def classes(self) -> list:
-        out = [[] for _ in range(self.r)]
-        for k, c in enumerate(self.colors, start=1):
-            out[c].append(k)
-        return out
 
     def to_text(self) -> str:
         return f"{self.N} {self.r}\n" + " ".join(str(c) for c in self.colors) + "\n"
@@ -135,15 +127,13 @@ def fp_sets(sets) -> set:
     return out
 
 
-def mixed_structure(a_seq, b_seq, n_limit: int = None) -> set:
+def mixed_structure(a_seq, b_seq) -> set:
     """Union over m = 1..N of the elementwise products
     FS(a_1..a_m) * FP(b_m..b_N)."""
     a_seq, b_seq = list(a_seq), list(b_seq)
     if len(a_seq) != len(b_seq):
         raise ValueError("sequences must have equal length")
     n = len(a_seq)
-    if n_limit is not None and n_limit != n:
-        raise ValueError("n_limit must equal the sequence length")
     _check_seq(a_seq)
     _check_seq(b_seq)
     out = set()
@@ -191,9 +181,8 @@ def search_fsfp(c: Coloring, depth: int):
         if len(a_seq) == depth:
             yield tuple(a_seq)
             return
-        start = 1
         total = sum(a_seq)
-        for x in range(start, N - total + 1):
+        for x in range(1, N - total + 1):
             a_seq.append(x)
             yield from extend_a(a_seq)
             a_seq.pop()
@@ -252,69 +241,6 @@ def search_fsfp(c: Coloring, depth: int):
         if w is not None:
             return w
     return None
-
-
-# ---------------------------------------------------------------------------
-# regular families
-
-
-@dataclass(frozen=True)
-class FiniteFamily:
-    """One of the concrete regular-family generators: ap(l) gives arithmetic
-    progressions of length l+1, gp(m) geometric progressions of length m with
-    integer ratio >= 2, sum-singletons(k) / product-singletons(k) the
-    singleton k-fold sums / products, explicit an explicit member list."""
-
-    kind: str
-    param: int = 0
-    members: tuple = ()
-
-    def __post_init__(self):
-        kinds = ("ap", "gp", "sum-singletons", "product-singletons", "explicit")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-
-def regular_family_members(fam: FiniteFamily, N: int):
-    """Enumerate the family's members inside [1..N] (deterministic order)."""
-    if fam.kind == "explicit":
-        for s in fam.members:
-            if all(1 <= x <= N for x in s):
-                yield frozenset(s)
-        return
-    if fam.kind == "ap":
-        l = fam.param
-        if l < 1:
-            raise ValueError("ap family needs l >= 1")
-        for a in range(1, N + 1):
-            for d in range(1, (N - a) // l + 1):
-                yield frozenset(a + i * d for i in range(l + 1))
-        return
-    if fam.kind == "gp":
-        m = fam.param
-        if m < 1:
-            raise ValueError("gp family needs m >= 1")
-        if m == 1:
-            for cstart in range(1, N + 1):
-                yield frozenset({cstart})
-            return
-        for cstart in range(1, N + 1):
-            q = 2
-            while cstart * q ** (m - 1) <= N:
-                yield frozenset(cstart * q**i for i in range(m))
-                q += 1
-        return
-    k = fam.param
-    if k < 1:
-        raise ValueError("family needs k >= 1")
-    if fam.kind == "sum-singletons":
-        for s in range(k, N + 1):
-            yield frozenset({s})
-        return
-    # product-singletons: every s in [1..N] is a product of k naturals
-    # (pad with ones)
-    for s in range(1, N + 1):
-        yield frozenset({s})
 
 
 # ---------------------------------------------------------------------------

@@ -37,23 +37,11 @@ def parse_scalar(token: str) -> Scalar:
     return int(token)
 
 
-def scalar_str(x: Scalar) -> str:
-    return str(x)
-
-
 def vector(entries: Iterable) -> Vector:
     v = tuple(norm_scalar(e) for e in entries)
     if not v:
         raise ValueError("empty vector")
     return v
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    return tuple(norm_scalar(c * a) for a in v)
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -98,7 +86,7 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.rows]})"
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(scalar_str(e) for e in row) for row in self.rows)
+        return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
     @classmethod
     def from_text(cls, text: str) -> "Matrix":
@@ -123,6 +111,8 @@ def mat_vec(A: Matrix, v: Vector) -> Vector:
     )
 
 
+# rank and span_member stay apart from reduce/insert: validate_witness and
+# column_condition_naive build on them to check the decider independently.
 def rank(vectors: Sequence[Vector]) -> int:
     """Rank of a list of vectors, by fraction-free Gaussian elimination.
 
@@ -173,49 +163,52 @@ def span_member(basis: Sequence[Vector], v: Vector) -> bool:
     return rank(base) == rank(base + [v])
 
 
-def rref(A: Matrix) -> tuple:
-    """Reduced row echelon form over Q.  Returns (rows, pivot_columns)."""
-    rows = [[Fraction(e) for e in row] for row in A.rows]
-    pivots = []
-    r = 0
-    for c in range(A.n):
-        piv = None
-        for i in range(r, A.m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        rows[r] = [e / p for e in rows[r]]
-        for i in range(A.m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == A.m:
-            break
-    out = tuple(tuple(norm_scalar(e) for e in row) for row in rows)
-    return out, pivots
+def reduce(v: Sequence[Scalar], basis: list) -> list:
+    """v minus its component along the basis: the unique vector in
+    v + span(basis) that is zero in every pivot column.  Linear in v, so it
+    is zero iff v lies in the span.
+
+    ``basis`` is a reduced row echelon basis as built by ``insert``: a list
+    of (pivot_col, row) with row[pivot_col] = 1 and every other row zero in
+    that column, so the rows can be applied in any order."""
+    v = list(v)
+    for p, row in basis:
+        f = v[p]
+        if f != 0:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def insert(v: Sequence[Scalar], basis: list) -> None:
+    """Add v to the reduced row echelon basis in place; no change if v
+    already lies in its span."""
+    v = reduce(v, basis)
+    for p, e in enumerate(v):
+        if e != 0:
+            row = [norm_scalar(a / Fraction(e)) for a in v]
+            for k, (q, other) in enumerate(basis):
+                f = other[p]
+                if f != 0:
+                    basis[k] = (q, [norm_scalar(a - f * b) for a, b in zip(other, row)])
+            basis.append((p, row))
+            return
 
 
 def kernel_basis(A: Matrix) -> list:
     """Basis of the rational null space of A, from the reduced echelon
     parametrisation (one basis vector per free column).  Empty list iff the
     kernel is trivial."""
-    rows, pivots = rref(A)
-    free = [c for c in range(A.n) if c not in pivots]
     basis = []
-    for f in free:
+    for r in A.rows:
+        insert(r, basis)
+    pivots = {p for p, _ in basis}
+    out = []
+    for f in range(A.n):
+        if f in pivots:
+            continue
         v = [0] * A.n
         v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = norm_scalar(-Fraction(rows[i][f]))
-        basis.append(tuple(v))
-    return basis
-
-
-def matrix_rank(A: Matrix) -> int:
-    return rank(list(A.rows))
+        for p, row in basis:
+            v[p] = -row[f]
+        out.append(tuple(v))
+    return out

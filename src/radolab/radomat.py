@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .exactq import Matrix, Vector, is_zero_vector, norm_scalar, span_member
+from .exactq import Matrix, Vector, insert, is_zero_vector, norm_scalar, reduce, span_member
 
 # column_condition on a 1 x n row with no zero-sum subset, such as all ones,
 # runs through all 2^n subsets: n = 24 takes about 10 s (Python 3.11 on one
@@ -34,26 +34,6 @@ class ColumnPartitionWitness:
 class ExpandedMatrix:
     base: Matrix
     expanded: Matrix
-
-
-def _reduce(v: list, basis: list) -> list:
-    # basis rows are normalised: basis[k] = (pivot_col, row with row[pivot]=1)
-    for p, row in basis:
-        f = v[p]
-        if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def _basis_insert(v, basis: list) -> None:
-    v = _reduce(list(v), basis)
-    for p, e in enumerate(v):
-        if e != 0:
-            inv = Fraction(1, 1) / e
-            row = [norm_scalar(inv * a) for a in v]
-            basis.append((p, row))
-            basis.sort(key=lambda t: t[0])
-            return
 
 
 def _first_zero_sum(vecs: list) -> int:
@@ -102,13 +82,13 @@ def column_condition(A: Matrix):
     if n > MAX_COLS:
         raise ValueError(f"too many columns ({n} > {MAX_COLS})")
     cols = A.cols()
-    basis = []  # reduced basis of span(U)
+    basis = []  # reduced row echelon basis of span(U)
     rest = list(range(n))
     blocks = []
     while rest:
-        # _reduce is linear, so a subset sum lies in span(U) iff the sum of
+        # reduce is linear, so a subset sum lies in span(U) iff the sum of
         # the reduced columns is zero
-        reduced = [_reduce(list(cols[j]), basis) for j in rest]
+        reduced = [reduce(cols[j], basis) for j in rest]
         block = [j for j, v in zip(rest, reduced) if is_zero_vector(v)]
         if not block:
             mask = _first_zero_sum(reduced)
@@ -116,7 +96,7 @@ def column_condition(A: Matrix):
                 return None
             block = [j for k, j in enumerate(rest) if mask >> k & 1]
         for j in block:
-            _basis_insert(cols[j], basis)
+            insert(cols[j], basis)
         rest = [j for j in rest if j not in block]
         blocks.append(tuple(j + 1 for j in block))
     return ColumnPartitionWitness(tuple(blocks))

@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactq import Matrix, Scalar, Vector, mat_vec, norm_scalar, parse_scalar, scalar_str
+from .exactq import Matrix, Scalar, Vector, mat_vec, norm_scalar, parse_scalar
 from .polyring import Poly, poly_parse
-from .radomat import expand_matrix
 
 DISTINCTNESS = ("allow-repeats", "all-distinct", "nontrivial")
 STATUS = ("regular-by-paper", "not-regular", "unknown")
@@ -100,13 +99,13 @@ class Equation:
         parts = []
         for c, mono in self.terms:
             if mono is ONE or not mono.exps:
-                parts.append(scalar_str(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append(repr(mono))
             elif c == -1:
                 parts.append(f"-{mono!r}")
             else:
-                parts.append(f"{scalar_str(c)}*{mono!r}")
+                parts.append(f"{c}*{mono!r}")
         return " + ".join(parts) + " = 0"
 
 
@@ -200,7 +199,7 @@ def single_equation(coeffs, name: str = None, distinctness: str = "allow-repeats
         raise ValueError("need >= 2 nonzero coefficients")
     xs = [f"v{i}" for i in range(1, len(coeffs) + 1)]
     eq = Equation([_linear_term(c, v) for c, v in zip(coeffs, xs)])
-    label = name or "equation(" + ",".join(scalar_str(c) for c in coeffs) + ")"
+    label = name or "equation(" + ",".join(str(c) for c in coeffs) + ")"
     return EquationSystem(
         name=label, variables=tuple(xs), equations=(eq,), distinctness=distinctness
     )
@@ -437,10 +436,6 @@ def _expect(polys, k):
     return polys
 
 
-def template_names():
-    return sorted(_TEMPLATES)
-
-
 def build_template(family: str, ints=(), polys=()) -> EquationSystem:
     """Build a named family; `ints` are the leading numeric parameters and
     `polys` the polynomial parameters."""
@@ -552,10 +547,6 @@ def construct_thm37(A: Matrix, X: Vector, a, d, polys) -> dict:
 # JSON wire format
 
 
-def _coeff_to_json(c: Scalar) -> str:
-    return scalar_str(c)
-
-
 def system_to_json(sys: EquationSystem) -> dict:
     return {
         "name": sys.name,
@@ -563,7 +554,7 @@ def system_to_json(sys: EquationSystem) -> dict:
         "equations": [
             {
                 "terms": [
-                    {"coeff": _coeff_to_json(c), "monomial": dict(mono.exps)}
+                    {"coeff": str(c), "monomial": dict(mono.exps)}
                     for c, mono in eq.terms
                 ]
             }

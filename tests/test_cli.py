@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from radolab.cli import main
+from radolab.cli import MAX_RANGE, main
 from radolab.colorings import poly_vdw_witness, random_coloring
 from radolab.polyring import poly_parse
 from radolab.radomat import MAX_COLS
@@ -427,15 +427,48 @@ def test_unknown_subcommand(capsys):
         ["fsfp", "--depth", "7"],
         ["solve", "schur", "--coloring", "rado-avoider(1,a;5)"],
         ["check-cc", "TOO-WIDE"],
+        ["solve", "schur", "--coloring", "parity", "--range", str(10**20)],
+        ["solve", "schur", "--coloring", "all-one", "--range", str(MAX_RANGE + 1)],
+        ["fsfp", "--range", str(10**20)],
+        ["polyvdw", "--polys", "z", "--range", str(10**20)],
+        ["export-cnf", "schur", "--colors", "2", "--range", str(10**8), "--out", "OUT"],
     ],
-    ids=["range-0", "colors-0", "depth-7", "avoider-coeff", "too-many-columns"],
+    ids=[
+        "range-0",
+        "colors-0",
+        "depth-7",
+        "avoider-coeff",
+        "too-many-columns",
+        "solve-huge-range",
+        "solve-range-above-max",
+        "fsfp-huge-range",
+        "polyvdw-huge-range",
+        "export-cnf-huge-range",
+    ],
 )
-def test_bad_input_exits_2_with_one_line(capsys, matrix_file, argv):
+def test_bad_input_exits_2_with_one_line(capsys, matrix_file, tmp_path, argv):
     wide = matrix_file(" ".join(["1"] * (MAX_COLS + 1)))
-    code, _, err = run(capsys, [wide if a == "TOO-WIDE" else a for a in argv])
+    out = tmp_path / "refused.cnf"
+    code, _, err = run(capsys, [{"TOO-WIDE": wide, "OUT": str(out)}.get(a, a) for a in argv])
     assert code == 2
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, form",
+    [
+        ("rado-avoider", "rado-avoider(c1,c2,...;p)"),
+        ("rado-avoider(1,1,-3)", "rado-avoider(c1,c2,...;p)"),
+        ("random(", "random or random(seed)"),
+        ("random(x)", "random or random(seed)"),
+    ],
+)
+def test_malformed_coloring_spec_is_named(capsys, spec, form):
+    code, _, err = run(capsys, ["solve", "schur", "--coloring", spec])
+    assert code == 2
+    assert err == f"error: bad coloring spec {spec!r}: expected {form}\n"
 
 
 def test_json_report_shape(capsys, matrix_file):

@@ -1,5 +1,5 @@
-"""Tests for colorings, FS/FP structures, regular families, witness search,
-and the base-p avoider coloring."""
+"""Tests for colorings, FS/FP structures, witness search, and the base-p
+avoider coloring."""
 
 import itertools
 import random
@@ -9,7 +9,6 @@ import pytest
 from radolab.colorings import (
     Coloring,
     ColoringTooShort,
-    FiniteFamily,
     FSFPWitness,
     RadoAvoider,
     all_one_coloring,
@@ -22,7 +21,6 @@ from radolab.colorings import (
     poly_vdw_witness,
     rado_avoider_coloring,
     random_coloring,
-    regular_family_members,
     search_fsfp,
     verify_fsfp,
     witness_structure,
@@ -38,7 +36,6 @@ def test_coloring_basics():
     c = Coloring(N=4, r=2, colors=(0, 1, 0, 1))
     assert c.color_of(1) == 0
     assert c.color_of(4) == 1
-    assert c.classes() == [[1, 3], [2, 4]]
 
 
 def test_coloring_invariants():
@@ -250,46 +247,6 @@ def test_witness_structure_matches_pieces():
     assert witness_structure(w) == fs((1, 2)) | fp((2, 3)) | mixed_structure(
         (1, 2), (2, 3)
     )
-
-
-# ---------------------------------------------------------------------------
-# regular families
-
-
-def test_family_ap():
-    members = list(regular_family_members(FiniteFamily(kind="ap", param=2), 5))
-    assert {1, 2, 3} in members
-    assert {1, 3, 5} in members
-    assert {3, 4, 5} in members
-    assert all(len(m) == 3 for m in members)
-
-
-def test_family_gp():
-    members = list(regular_family_members(FiniteFamily(kind="gp", param=2), 10))
-    assert {2, 4} in members
-    assert {3, 9} in members
-    assert {1, 2} in members
-    for m in members:
-        lo, hi = sorted(m)
-        assert hi % lo == 0 and hi // lo >= 2
-
-
-def test_family_sum_singletons():
-    members = list(regular_family_members(FiniteFamily(kind="sum-singletons", param=2), 5))
-    assert members == [{2}, {3}, {4}, {5}]
-
-
-def test_family_product_singletons():
-    members = list(
-        regular_family_members(FiniteFamily(kind="product-singletons", param=2), 10)
-    )
-    # every n <= 10 is a 2-fold product via 1*n
-    assert sorted(min(m) for m in set(members)) == list(range(1, 11))
-
-
-def test_family_explicit():
-    fam = FiniteFamily(kind="explicit", param=None, members=({1, 2}, {2, 3, 50}))
-    assert list(regular_family_members(fam, 10)) == [{1, 2}]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from radolab.exactq import (
     Matrix,
     kernel_basis,
     mat_vec,
-    matrix_rank,
     norm_scalar,
     parse_scalar,
     rank,
@@ -104,21 +103,29 @@ def test_kernel_basis_examples():
 
 def test_kernel_basis_properties():
     rng = random.Random(13)
-    for _ in range(150):
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return rng.randint(-3, 3)
+
+    for _ in range(300):
         m = rng.randint(1, 4)
-        n = rng.randint(1, 5)
-        A = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        n = rng.randint(1, 6)
+        A = Matrix([[entry() for _ in range(n)] for _ in range(m)])
         basis = kernel_basis(A)
         for v in basis:
             assert all(e == 0 for e in mat_vec(A, v))
-        assert len(basis) == n - matrix_rank(A)
-        # cross-check rank and nullspace dimension against sympy
-        S = sympy.Matrix([list(r) for r in A.rows])
-        assert matrix_rank(A) == S.rank()
-        assert len(basis) == len(S.nullspace())
+        assert len(basis) == n - rank(A.rows)
+        # sympy parametrises the kernel from the reduced echelon form too,
+        # one vector per free column, so the bases agree vector for vector
+        S = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in A.rows])
+        assert rank(A.rows) == S.rank()
+        expected = [tuple(Fraction(int(e.p), int(e.q)) for e in v) for v in S.nullspace()]
+        assert basis == expected, (A, basis, expected)
 
 
 def test_rank_fraction_entries():
     A = Matrix.from_text("1/2 1\n1 2")
-    assert matrix_rank(A) == 1
+    assert rank(A.rows) == 1
     assert rank([(Fraction(1, 3), 1), (1, 3)]) == 1
