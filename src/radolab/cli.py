@@ -70,8 +70,17 @@ def _bad_spec(spec: str, form: str) -> CliError:
     return CliError(f"bad coloring spec {spec!r}: expected {form}")
 
 
-def _load_coloring(spec: str, N: int, r: int, seed: int) -> colorings.Coloring:
-    spec = spec.strip()
+def _load_coloring(spec: str, N: int, r, seed: int) -> colorings.Coloring:
+    """The coloring `spec` names.  `r` is --colors: the number of colors of
+    `random` (default 2); any other coloring fixes its own, and an explicit
+    --colors must agree with it."""
+    col = _build_coloring(spec.strip(), N, 2 if r is None else r, seed)
+    if r is not None and r != col.r:
+        raise CliError(f"--colors {r} disagrees with coloring {spec!r}, which has {col.r} colors")
+    return col
+
+
+def _build_coloring(spec: str, N: int, r: int, seed: int) -> colorings.Coloring:
     if spec == "all-one":
         return colorings.all_one_coloring(N)
     if spec == "parity":
@@ -130,6 +139,10 @@ def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, hum
 
 def _budget(args) -> search.SearchBudget:
     return search.SearchBudget(N=args.range, node_limit=args.budget_nodes)
+
+
+def _colors(args) -> int:
+    return 2 if args.colors is None else args.colors
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +235,7 @@ def cmd_solve(args) -> int:
         _report(
             args,
             "solve",
-            {"system": sys_.name, "coloring": args.coloring, "status": sys_.status},
+            {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status},
             {"budget_exhausted": True},
             time.perf_counter() - t0,
             f"BUDGET ({exc})",
@@ -240,7 +253,7 @@ def cmd_solve(args) -> int:
     _report(
         args,
         "solve",
-        {"system": sys_.name, "coloring": args.coloring, "status": sys_.status},
+        {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status},
         outcome,
         elapsed,
         human,
@@ -251,8 +264,9 @@ def cmd_solve(args) -> int:
 
 def cmd_rado_number(args) -> int:
     sys_ = _apply_distinct(_load_system(args.system), args)
+    colors = _colors(args)
     t0 = time.perf_counter()
-    res = search.rado_number(sys_, args.colors, _budget(args))
+    res = search.rado_number(sys_, colors, _budget(args))
     elapsed = time.perf_counter() - t0
     avoider = res.avoider.to_text() if res.avoider is not None else None
     outcome = {
@@ -272,21 +286,24 @@ def cmd_rado_number(args) -> int:
     else:
         human = f"UNRESOLVED up to N={args.range} (avoider exists at N={args.range})"
         code = EXIT_NOT_FOUND
-    _report(args, "rado-number", {"system": sys_.name, "colors": args.colors}, outcome, elapsed, human)
+    _report(args, "rado-number", {"system": sys_.name, "colors": colors}, outcome, elapsed, human)
     return code
 
 
 def cmd_export_cnf(args) -> int:
     _check_range(args)
     sys_ = _apply_distinct(_load_system(args.system), args)
+    colors = _colors(args)
     t0 = time.perf_counter()
-    text = search.export_cnf(sys_, args.colors, args.range)
+    text = search.export_cnf(sys_, colors, args.range)
     elapsed = time.perf_counter() - t0
     with open(args.out, "w") as fh:
         fh.write(text)
-    lines = text.splitlines()
-    header = next(ln for ln in lines if ln.startswith("p cnf"))
-    truncated = search.CNF_TRUNCATED in lines[: lines.index(header)]
+    # the header follows a few comment lines; the system name in the first
+    # one is quoted, so no line break precedes "p cnf" before the header
+    start = text.index("\np cnf ") + 1
+    header = text[start : text.index("\n", start)]
+    truncated = search.CNF_TRUNCATED in text[:start].split("\n")
     human = f"WROTE {args.out} ({header})"
     if truncated:
         human += (
@@ -296,7 +313,7 @@ def cmd_export_cnf(args) -> int:
     _report(
         args,
         "export-cnf",
-        {"system": sys_.name, "colors": args.colors, "range": args.range},
+        {"system": sys_.name, "colors": colors, "range": args.range},
         {"file": args.out, "header": header, "truncated": truncated},
         elapsed,
         human,
@@ -317,7 +334,7 @@ def cmd_fsfp(args) -> int:
     else:
         outcome = {"witness": None}
         human = "NO WITNESS AT THIS SCALE"
-    _report(args, "fsfp", {"coloring": args.coloring, "depth": args.depth}, outcome, elapsed, human)
+    _report(args, "fsfp", {"coloring": args.coloring, "colors": col.r, "depth": args.depth}, outcome, elapsed, human)
     return EXIT_FOUND if w is not None else EXIT_NOT_FOUND
 
 
@@ -338,7 +355,7 @@ def cmd_polyvdw(args) -> int:
     else:
         outcome = {"witness": None}
         human = "NO WITNESS AT THIS SCALE"
-    _report(args, "polyvdw", {"coloring": args.coloring, "polys": args.polys}, outcome, elapsed, human)
+    _report(args, "polyvdw", {"coloring": args.coloring, "colors": col.r, "polys": args.polys}, outcome, elapsed, human)
     return EXIT_FOUND if res is not None else EXIT_NOT_FOUND
 
 
@@ -427,7 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
         f" fixed {search.CNF_TUPLE_LIMIT:,}-node limit; other commands ignore it",
     )
     common.add_argument("--range", type=int, default=100, metavar="N", help="integer range bound [1..N]")
-    common.add_argument("--colors", type=int, default=2, metavar="R", help="number of colors")
+    common.add_argument(
+        "--colors",
+        type=int,
+        default=None,
+        metavar="R",
+        help="number of colors (default 2); solve, fsfp and polyvdw take it from a coloring"
+        " other than random, and refuse a --colors that disagrees",
+    )
     common.add_argument(
         "--distinct",
         choices=["repeats", "distinct", "nontrivial"],

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,9 +72,11 @@ class _Plan:
     term's value to that equation's running residual), and its closes, the
     equations whose highest variable is i.  A closing equation linear in i
     whose coefficient of i is nonzero fixes i by exact division (one whose
-    only term in i is c * i is used first); every closing equation is checked
-    against the value.  A variable-free equation with a nonzero constant
-    leaves no solutions.
+    only term in i is c * i, the pivot, is used first, through a table of
+    the residuals that give a value in range); every closing equation but
+    the pivot's is checked against the value.  A value of the variable before a pivot
+    whose residual misses the table's key span is never tried.  A
+    variable-free equation with a nonzero constant leaves no solutions.
 
     Variables i < j are interchangeable when swapping them maps the
     equations, each in the form `_canonical` gives, onto the same multiset;
@@ -144,18 +146,40 @@ class _Plan:
             self.classes.append(tuple(self.names[k] for k in members))
 
     def solutions(self, values, nodes):
-        """Every solution with all its values in `values` (ascending), in
-        lexicographic order.  Each value tried at an enumerated variable
-        costs one node; a value solved from an equation is free."""
-        if self.unsolvable:
-            return
+        """Every solution with all its values in `values` (positive,
+        ascending), in lexicographic order, each as the list of its values
+        in declaration order.  Each value tried at an enumerated variable
+        costs one node; a value solved from an equation is free.
+
+        When the next variable is solved from a lookup table and v enters
+        that equation through one term k * v^x, the residual is monotone in
+        v, so the values of v whose residual falls outside the table's key
+        span form a prefix and a suffix of the candidates: they are cut
+        before the loop, never tried and never charged."""
         n = len(self.names)
+        if self.unsolvable or n and not values:
+            return
         feeds, closes, distinct, prev = self.feeds, self.closes, self.distinct, self.prev
         value_set = set(values)
         res = list(self.const)
         a = [0] * n  # a[i]: value of variable i, 0 while unset
         # residual -> value for each pivot: residual + c * v = 0
         lookup = [p and (p[0], {-p[1] * w: w for w in values}) for p in self.pivot]
+        # aheads[i]: when a lookup fixes the variable after i and i enters
+        # its equation through one term c * i^x * others, (the equation,
+        # its table, the term's place in feeds[i], the table's least and
+        # greatest key, and the least and greatest value to the power x)
+        aheads = [None] * n
+        for i in range(n - 1):
+            p = self.pivot[i + 1]
+            into = [(t, x) for t, (e, _, x, _) in enumerate(feeds[i]) if p and e == p[0]]
+            if len(into) == 1:
+                [(t, x)] = into
+                low, high = sorted((-p[1] * values[0], -p[1] * values[-1]))
+                aheads[i] = (*lookup[i + 1], t, low, high, values[0] ** x, values[-1] ** x)
+        # the equations closing at i that a solved value must be checked
+        # against: a value from the lookup table satisfies the pivot's
+        solved = [[(e, own) for e, own in closes[i] if not p or e != p[0]] for i, p in enumerate(self.pivot)]
 
         def prod(others):
             p = 1
@@ -181,7 +205,7 @@ class _Plan:
             # closing at i allow
             if v < a[prev[i]] or distinct and v in a:
                 return False
-            for e, own in closes[i]:
+            for e, own in solved[i]:
                 if res[e] + sum(c * v**x * prod(others) for c, x, others in own):
                     return False
             a[i] = v
@@ -199,23 +223,34 @@ class _Plan:
             w = forced(i)
             if w is None:
                 return
-            lo = a[prev[i]]
-            if w is _ENUMERATE:
-                cands, spend = (values[bisect_left(values, lo) :] if lo else values), nodes.spend
-            else:
-                cands, spend = ((w,) if w >= lo else ()), None
             # the earlier variables are set, so each term of i is k * v^x
             fed = [(e, c * prod(others), x) for e, c, x, others in feeds[i]]
             checks = [(e, [(c * prod(others), x) for c, x, others in own]) for e, own in closes[i]]
             # when a lookup fixes the next variable and v enters its equation
             # through one term, a miss there rejects v before it is placed
-            ahead = i + 1 < n and lookup[i + 1]
+            ahead = aheads[i] is not None
             if ahead:
-                ae, atable = ahead
-                into = [(k, x) for e, k, x in fed if e == ae]
-                ahead = len(into) == 1
-                if ahead:
-                    [(ak, ax)] = into
+                ae, atable, t, low, high, bottom, top = aheads[i]
+                _, ak, ax = fed[t]
+            lo = a[prev[i]]
+            if w is not _ENUMERATE:
+                cands, spend = ((w,) if w >= lo else ()), None
+            else:
+                start, stop, spend = 0, len(values), nodes.spend
+                if ahead and ak:
+                    # res[ae] + ak * v^ax lies in the key span [low, high]
+                    # iff v^ax lies in [tlo, thi]
+                    if ak < 0:
+                        low, high = high, low
+                    tlo = -((res[ae] - low) // ak)
+                    thi = (high - res[ae]) // ak
+                    if tlo > bottom:
+                        lo = max(lo, _iroot(tlo - 1, ax) + 1)
+                    if thi < top:
+                        stop = bisect_right(values, _iroot(thi, ax)) if thi > 0 else 0
+                if lo:
+                    start = bisect_left(values, lo, 0, stop)
+                cands = values[start:stop] if start or stop < len(values) else values
             for v in cands:
                 if spend:
                     spend()
@@ -244,7 +279,7 @@ class _Plan:
                     j += 1
                 if j == n:
                     if not (self.nontrivial and len(set(a)) == 1):
-                        yield dict(zip(self.names, a))
+                        yield a[:]
                 elif w is _ENUMERATE:
                     yield from dfs(j)
                 while j > i + 1:
@@ -255,9 +290,21 @@ class _Plan:
                 a[i] = 0
 
         if n == 0:
-            yield {}
+            yield []
         else:
             yield from dfs(0)
+
+
+def _iroot(t, x):
+    """The floor of the x-th root of the integer t >= 1."""
+    if x == 1:
+        return t
+    r = 1 << -(-t.bit_length() // x)  # at least the root
+    while True:
+        s = ((x - 1) * r + t // r ** (x - 1)) // x
+        if s >= r:
+            return r
+        r = s
 
 
 def _canonical(terms):
@@ -299,8 +346,8 @@ def find_mono_solution(sys: EquationSystem, c: Coloring, budget: SearchBudget):
     for color, values in enumerate(classes):
         if not values:
             continue
-        for assignment in plan.solutions(values, nodes):
-            return SolutionRecord(assignment=assignment, color=color, system=sys.name)
+        for a in plan.solutions(values, nodes):
+            return SolutionRecord(assignment=dict(zip(sys.variables, a)), color=color, system=sys.name)
     return None
 
 
@@ -325,9 +372,10 @@ def _value_sets(sys, N, nodes):
     """The value set of every solution in [1..N], colors ignored, as a sorted
     tuple, in enumeration order; a set can repeat.  Whether a solution is
     monochromatic depends only on its value set, which is the same for every
-    solution in an orbit."""
-    for assignment in _Plan(sys).solutions(list(range(1, N + 1)), nodes):
-        yield tuple(sorted(set(assignment.values())))
+    solution in an orbit.  Values whose solved next variable would fall
+    outside [1..N] are cut before they are tried (see `_Plan.solutions`)."""
+    for a in _Plan(sys).solutions(list(range(1, N + 1)), nodes):
+        yield tuple(sorted(set(a)))
 
 
 def _solution_index(sys, M, nodes):
@@ -506,23 +554,22 @@ def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = CNF_TUPLE
             tuples.add(value_set)
     except BudgetExhausted:
         truncated = True
-    nvars = N * r
-    clauses = []
-    for n in range(1, N + 1):
-        clauses.append([(n - 1) * r + c + 1 for c in range(r)])
-        for c1 in range(r):
-            for c2 in range(c1 + 1, r):
-                clauses.append([-((n - 1) * r + c1 + 1), -((n - 1) * r + c2 + 1)])
-    for tup in sorted(tuples):
-        for c in range(r):
-            clauses.append([-((n - 1) * r + c + 1) for n in tup])
+    nclauses = N * (1 + r * (r - 1) // 2) + r * len(tuples)
     lines = [
         f"c avoiding-coloring instance for system {sys.name!r}, r={r}, N={N}",
         "c variable numbering: v(n,c) = (n-1)*r + c + 1",
     ]
     if truncated:
         lines.append(CNF_TRUNCATED)
-    lines.append(f"p cnf {nvars} {len(clauses)}")
-    for cl in clauses:
-        lines.append(" ".join(str(x) for x in cl) + " 0")
+    lines.append(f"p cnf {N * r} {nclauses}")
+    # neg[c][n]: the literal "not v(n,c)", whose tail [1:] is v(n,c)
+    neg = [[""] + [f"-{(n - 1) * r + c + 1}" for n in range(1, N + 1)] for c in range(r)]
+    for n in range(1, N + 1):
+        lines.append(" ".join([neg[c][n][1:] for c in range(r)]) + " 0")
+        for c1 in range(r):
+            for c2 in range(c1 + 1, r):
+                lines.append(f"{neg[c1][n]} {neg[c2][n]} 0")
+    for tup in sorted(tuples):
+        for row in neg:
+            lines.append(" ".join(map(row.__getitem__, tup)) + " 0")
     return "\n".join(lines) + "\n"

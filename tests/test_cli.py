@@ -243,7 +243,7 @@ def test_rado_number_reports_pruned(capsys):
     argv = ["rado-number", "schur", "--colors", "3", "--range", "20"]
     code, out, _ = run(capsys, argv)
     assert code == 0
-    assert out == "RADO-NUMBER 14 (avoider for N=13 attached, nodes=1950, pruned=86)\n"
+    assert out == "RADO-NUMBER 14 (avoider for N=13 attached, nodes=1858, pruned=86)\n"
     code, payload = run_json(capsys, argv)
     assert payload["outcome"]["pruned"] == 86
 
@@ -268,8 +268,8 @@ def test_export_cnf(capsys, tmp_path):
 
 
 def test_export_cnf_truncated_exits_3(capsys, tmp_path):
-    # x1+x2+x3+x4 = x5 over [1..60] needs more than the 200,000-node limit
-    argv = ["export-cnf", "equation(1,1,1,1,-1)", "--range", "60", "--out", str(tmp_path / "g.cnf")]
+    # x1+x2+x3+x4 = x5 over [1..100] needs more than the 200,000-node limit
+    argv = ["export-cnf", "equation(1,1,1,1,-1)", "--range", "100", "--out", str(tmp_path / "g.cnf")]
     code, out, _ = run(capsys, argv)
     assert code == 3
     assert "TRUNCATED" in out and "200,000-node tuple limit" in out
@@ -325,6 +325,42 @@ def test_random_coloring_honours_colors(capsys):
     expected = poly_vdw_witness(random_coloring(50, 3, 3), [poly_parse("z")])
     assert (outcome["a"], outcome["d"], outcome["color"]) == expected
     assert expected[2] == 2  # a colour that two colours cannot give
+
+
+@pytest.mark.parametrize(
+    "argv, colors",
+    [
+        (["solve", "schur", "--coloring", "parity", "--range", "10"], 2),
+        (["solve", "equation(1,1,-3)", "--coloring", "rado-avoider(1,1,-3;5)", "--range", "30"], 4),
+        (["fsfp", "--coloring", "all-one", "--range", "10"], 1),
+        (["polyvdw", "--coloring", "parity", "--polys", "z", "--range", "30"], 2),
+    ],
+)
+def test_colors_come_from_the_coloring(capsys, argv, colors):
+    code, payload = run_json(capsys, argv)
+    assert payload["inputs"]["colors"] == colors
+    # an explicit --colors that agrees changes nothing; one that disagrees is refused
+    again = run_json(capsys, argv + ["--colors", str(colors)])
+    assert (again[0], again[1]["outcome"]) == (code, payload["outcome"])
+    code, out, err = run(capsys, argv + ["--colors", str(colors + 1)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"--colors {colors + 1} disagrees" in err
+
+
+def test_random_coloring_reports_its_colors(capsys):
+    argv = ["fsfp", "--coloring", "random(4)", "--range", "10"]
+    assert run_json(capsys, argv)[1]["inputs"]["colors"] == 2
+    assert run_json(capsys, argv + ["--colors", "5"])[1]["inputs"]["colors"] == 5
+
+
+def test_colors_must_match_a_coloring_file(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("4 3\n0 1 2 0\n")
+    argv = ["solve", "schur", "--coloring", str(path), "--range", "4", "--json"]
+    code, payload = run_json(capsys, argv[:-1])
+    assert payload["inputs"]["colors"] == 3
+    code, out, err = run(capsys, argv + ["--colors", "2"])
+    assert (code, out) == (2, "") and err.count("\n") == 1
 
 
 def test_polyvdw_bad_poly(capsys):

@@ -1,6 +1,7 @@
 """Tests for the solution search, the Rado-number search and the CNF export."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from radolab.search import (
     SolutionRecord,
     _Nodes,
     _Plan,
+    _iroot,
     _value_sets,
     export_cnf,
     find_mono_solution,
@@ -107,11 +109,15 @@ def test_node_budget_boundary():
     # of x + y = 3z is solved from the equation, for free
     sys = single_equation([1, 1, -3])
     c = rado_avoider_coloring((1, 1, -3), 5).coloring(200)
-    sizes = [c.colors.count(color) for color in range(c.r)]
-    # the k values of x, then the values of y from x's on (x and y are
-    # interchangeable, so y >= x)
-    spent = sum(k + k * (k + 1) // 2 for k in sizes)
-    assert spent == 5301
+    classes = [[k for k in range(1, 201) if c.color_of(k) == color] for color in range(c.r)]
+    # the values of x, then the values of y from x's on (x and y are
+    # interchangeable, so y >= x); a y with x + y below 3 * min(class)
+    # leaves z outside the class and is cut before it is tried
+    spent = sum(
+        len(cls) + sum(1 for x in cls for y in cls if y >= x and x + y >= 3 * cls[0])
+        for cls in classes
+    )
+    assert spent == 5297
     assert find_mono_solution(sys, c, _budget(200, nodes=spent)) is None
     with pytest.raises(BudgetExhausted):
         find_mono_solution(sys, c, _budget(200, nodes=spent - 1))
@@ -197,6 +203,17 @@ def _brute_force_suite():
         # x ~ y only when both equations swap together
         _system("xyz", _eq((1, x), (2, y), (-1, z)), _eq((2, x), (1, y), (-1, z))),
         _system("xyzw", _eq((1, x), (1, y), (-1, z), (-1, w))),
+        # the last variable comes from a lookup table, and candidates whose
+        # solved value falls outside the class are cut: at the upper end,
+        _system("xywz", _eq((1, x), (1, y), (1, w), (-1, z))),
+        # with a constant,
+        _system("xyz", _eq((1, x), (1, y), (3, {}), (-1, z))),
+        # with a negative coefficient in the looked-up equation (both ends),
+        _system("xyz", _eq((2, x), (-1, y), (-1, z))),
+        _system("xyz", _eq((3, x), (-1, {"y": 3}), (-1, z))),
+        # and with an exponent above 1 (x^2 + y = z, x set just before z)
+        _system("yxz", _eq((1, {"x": 2}), (1, y), (-1, z))),
+        _system("xyz", _eq((1, x), (-2, {"y": 2}), (2, z))),
     ]
     for _ in range(8):
         suite.append(single_equation([coeff() for _ in range(rng.randint(2, 4))]))
@@ -253,11 +270,12 @@ def test_value_sets_match_brute_force():
 
 def test_plan_yields_one_solution_per_orbit():
     # exactly the solutions whose interchangeable variables take
-    # nondecreasing values, in lexicographic order
+    # nondecreasing values, in lexicographic order, as value lists in
+    # declaration order
     for sys, N in _brute_force_suite():
         plan = _Plan(sys)
         expect = [
-            s for s in _brute_force_solutions(sys, N)
+            list(s.values()) for s in _brute_force_solutions(sys, N)
             if all(s[u] <= s[v] for cls in plan.classes for u, v in zip(cls, cls[1:]))
         ]
         assert list(plan.solutions(list(range(1, N + 1)), _Nodes(None))) == expect, (sys, N)
@@ -278,6 +296,49 @@ def test_find_mono_solution_is_brute_force_lexicographically_least():
             rec = find_mono_solution(sys, c, _budget(N))
             got = None if rec is None else (rec.assignment, rec.color)
             assert got == expect, (sys, c)
+
+
+def test_value_sets_nodes_of_x1_to_x4_summing_to_x5():
+    # x1 <= x2 <= x3 <= x4 are tried, x5 is solved; an x4 whose x5 would be
+    # past 32 is cut before it is tried
+    R = range(1, 33)
+    expect = sum(1 for k in (1, 2, 3) for _ in itertools.combinations_with_replacement(R, k))
+    expect += sum(1 for t in itertools.combinations_with_replacement(R, 4) if sum(t) <= 32)
+    nodes = _Nodes(None)
+    sets = list(_value_sets(single_equation([1, 1, 1, 1, -1]), 32, nodes))
+    assert nodes.count == expect == 8701
+    assert len(sets) == 2157
+
+
+def test_cut_charges_only_values_whose_solved_value_is_in_the_class():
+    # a class with gaps; z is solved from the equation, so a node is one
+    # value of x plus one value of y (y >= x where they are interchangeable)
+    # whose solved z lies between the least and the greatest member
+    values = [2, 3, 5, 7, 11, 13, 17]
+    x, y, z = ({v: 1} for v in "xyz")
+    # (equation, interchangeable pair or None, z solved from x and y)
+    cases = [
+        (_eq((1, x), (1, y), (3, {}), (-1, z)), (0, 1), lambda x, y: x + y + 3),
+        (_eq((2, x), (-1, y), (-1, z)), (1, 2), lambda x, y: 2 * x - y),
+        (_eq((3, x), (-1, {"y": 3}), (-1, z)), None, lambda x, y: 3 * x - y**3),
+        (_eq((1, x), (1, {"y": 2}), (-1, z)), None, lambda x, y: x + y**2),
+        (_eq((1, x), (-2, {"y": 2}), (2, z)), None, lambda x, y: Fraction(2 * y**2 - x, 2)),
+    ]
+    for eq, pair, solve in cases:
+        tried = [(a, b) for a in values for b in values if pair != (0, 1) or b >= a]
+        expect = len(values) + sum(1 for a, b in tried if values[0] <= solve(a, b) <= values[-1])
+        nodes = _Nodes(None)
+        got = list(_Plan(_system("xyz", eq)).solutions(values, nodes))
+        assert nodes.count == expect, eq
+        sols = [[a, b, solve(a, b)] for a, b in tried if solve(a, b) in values]
+        assert got == [s for s in sols if not pair or s[pair[0]] <= s[pair[1]]], eq
+
+
+def test_iroot_is_the_floor_of_the_root():
+    for x in (1, 2, 3, 5):
+        for t in list(range(1, 300)) + [10**40 + 7, 2**200]:
+            r = _iroot(t, x)
+            assert r**x <= t < (r + 1) ** x, (t, x)
 
 
 def test_variable_free_equation_is_checked():
@@ -319,12 +380,8 @@ def test_validate_solution_rejects_bad_records():
 def test_schur_solutions_one_per_orbit():
     # x and y are interchangeable: (2, 1, 3) and (3, 1, 4) are not repeated
     sols = list(_Plan(schur_system()).solutions([1, 2, 3, 4], _Nodes(None)))
-    expected = [
-        {"x": 1, "y": 1, "z": 2},
-        {"x": 1, "y": 2, "z": 3},
-        {"x": 1, "y": 3, "z": 4},
-        {"x": 2, "y": 2, "z": 4},
-    ]
+    # the values of (x, y, z)
+    expected = [[1, 1, 2], [1, 2, 3], [1, 3, 4], [2, 2, 4]]
     assert sols == expected
     assert set(_value_sets(schur_system(), 4, _Nodes(None))) == {(1, 2), (1, 2, 3), (1, 3, 4), (2, 4)}
 
@@ -374,9 +431,9 @@ def test_rado_number_trivial_r1():
 def test_rado_number_node_counts():
     # the counts perfbench/counts.py reports; a change of node unit moves them
     res = rado_number(schur_system(), 3, _budget(60))
-    assert (res.nodes, res.pruned) == (1950, 86)
+    assert (res.nodes, res.pruned) == (1858, 86)
     res = rado_number(single_equation([1, 1, -3]), 2, _budget(60))
-    assert (res.nodes, res.pruned) == (265, 1)
+    assert (res.nodes, res.pruned) == (263, 1)
 
 
 def test_rado_number_one_member_sets_forbid_every_color():
@@ -602,6 +659,52 @@ def test_cnf_r1_with_solution_unsatisfiable():
 def test_cnf_variable_numbering_comment():
     text = export_cnf(schur_system(), 2, 4)
     assert "v(n,c) = (n-1)*r + c + 1" in text
+
+
+def _reference_cnf(sys, r, N):
+    """The DIMACS text export_cnf should give, written from the brute-force
+    solutions: one at-least-one clause per integer, one at-most-one clause
+    per integer and pair of colors, then for each value set in sorted order
+    one clause per color."""
+    v = lambda n, c: (n - 1) * r + c + 1
+    sets = sorted({tuple(sorted(set(s.values()))) for s in _brute_force_solutions(sys, N)})
+    clauses = []
+    for n in range(1, N + 1):
+        clauses.append([v(n, c) for c in range(r)])
+        clauses += [[-v(n, c1), -v(n, c2)] for c1, c2 in itertools.combinations(range(r), 2)]
+    clauses += [[-v(n, c) for n in s] for s in sets for c in range(r)]
+    lines = [
+        f"c avoiding-coloring instance for system {sys.name!r}, r={r}, N={N}",
+        "c variable numbering: v(n,c) = (n-1)*r + c + 1",
+        f"p cnf {N * r} {len(clauses)}",
+    ]
+    return "\n".join(lines + [" ".join(map(str, cl + [0])) for cl in clauses]) + "\n"
+
+
+def test_cnf_matches_reference_writer():
+    suite = [
+        schur_system(),
+        single_equation([1, 1, -2]),
+        single_equation([1, 1, 1, -1]),
+        single_equation([1, 2, -1]),
+        mult_schur_system(),
+    ]
+    for sys in suite:
+        for policy in DISTINCTNESS:
+            sys = dataclasses.replace(sys, distinctness=policy)
+            for r in (1, 2, 3, 4):
+                for N in (1, 4, 7):
+                    assert export_cnf(sys, r, N) == _reference_cnf(sys, r, N), (sys, r, N)
+
+
+def test_cnf_bench_instances_are_pinned():
+    schur = single_equation([1, 1, -1])
+    ap3 = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
+    for sys, r, N, digest in (
+        (schur, 3, 13, "54188538b1b2e877a6723e44b80184e4dc4097a4373fa5c1f83e1d91b630812b"),
+        (ap3, 2, 300, "1f92535fd5ca91f63edb084cf04a4830c8cf082e4fe670495b863e3c17ec49c2"),
+    ):
+        assert hashlib.sha256(export_cnf(sys, r, N).encode()).hexdigest() == digest, sys
 
 
 def test_cnf_truncation_flag():
