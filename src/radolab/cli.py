@@ -74,6 +74,7 @@ def _load_coloring(spec: str, N: int, r, seed: int) -> colorings.Coloring:
     """The coloring `spec` names.  `r` is --colors: the number of colors of
     `random` (default 2); any other coloring fixes its own, and an explicit
     --colors must agree with it."""
+    _check_colors(r)
     col = _build_coloring(spec.strip(), N, 2 if r is None else r, seed)
     if r is not None and r != col.r:
         raise CliError(f"--colors {r} disagrees with coloring {spec!r}, which has {col.r} colors")
@@ -142,7 +143,13 @@ def _budget(args) -> search.SearchBudget:
 
 
 def _colors(args) -> int:
+    _check_colors(args.colors)
     return 2 if args.colors is None else args.colors
+
+
+def _check_colors(r) -> None:
+    if r is not None and r < 1:
+        raise CliError(f"--colors must be at least 1, not {r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from math import gcd
+from math import gcd, prod
 
 MAX_SEQ = 20
 MAX_SELECTORS = 10**6
@@ -133,14 +133,18 @@ def mixed_structure(a_seq, b_seq) -> set:
     a_seq, b_seq = list(a_seq), list(b_seq)
     if len(a_seq) != len(b_seq):
         raise ValueError("sequences must have equal length")
-    n = len(a_seq)
     _check_seq(a_seq)
     _check_seq(b_seq)
+    return _mixed(a_seq, b_seq)
+
+
+def _mixed(a_seq, b_seq) -> set:
+    """Union over m = 1..k of FS(a_1..a_m) * FP(b_m..b_k), k = len(b_seq) <=
+    len(a_seq): the mixed products that the first k terms of b fix."""
     out = set()
-    for m in range(1, n + 1):
-        left = fs(a_seq[:m])
+    for m in range(1, len(b_seq) + 1):
         right = fp(b_seq[m - 1 :])
-        out |= {f * g for f in left for g in right}
+        out |= {f * g for f in fs(a_seq[:m]) for g in right}
     return out
 
 
@@ -170,77 +174,42 @@ def search_fsfp(c: Coloring, depth: int):
     structure is monochromatic inside [1..N].  Returns the first witness in
     lexicographic order (a_1, ..., a_depth, b_1, ..., b_depth), or None.
 
+    The search extends the prefix a_1..a_j with a_j <= N - sum(a_1..a_j-1),
+    then b_1..b_k with b_k <= N // (a_1 * b_1 * ... * b_k-1), in ascending
+    order.  A prefix is dropped as soon as the part of the structure it fixes
+    leaves [1..N] or the color of a_1: FS(a_1..a_j) while b is empty, then
+    FP(b_1..b_k) and FS(a_1..a_m) * FP(b_m..b_k) for m <= k.  That part lies
+    inside the structure of every witness extending the prefix, so no
+    dropped prefix extends to a witness, and the first witness is the one a
+    check of every candidate in order would find.
+
     Absence means only that no witness fits inside [1..N]; the result says
     nothing about larger ranges.
     """
     if depth < 1 or depth > 4:
         raise ValueError("depth must be in 1..4")
-    N = c.N
+    N, colors = c.N, c.colors
+    a_seq, b_seq = [], []
 
-    def extend_a(a_seq):
-        if len(a_seq) == depth:
-            yield tuple(a_seq)
-            return
-        total = sum(a_seq)
-        for x in range(1, N - total + 1):
-            a_seq.append(x)
-            yield from extend_a(a_seq)
-            a_seq.pop()
-
-    def a_ok(a_seq, color):
-        for e in fs(a_seq):
-            if e > N or c.colors[e - 1] != color:
-                return False
-        return True
-
-    def extend_b(a_seq, color, b_seq):
+    def dfs():
         if len(b_seq) == depth:
-            w = FSFPWitness(a_seq=a_seq, b_seq=tuple(b_seq), color=color)
-            try:
-                if verify_fsfp(w, c):
-                    return w
-            except ColoringTooShort:
-                return None
-            return None
-        prod = 1
-        for b in b_seq:
-            prod *= b
-        # every a_1 * b_1...b_k product must stay in range
-        cap = N // max(prod * a_seq[0], prod)
-        for y in range(1, cap + 1):
-            # partial structure pruning: FP of b-prefix and the products of
-            # FS(a-prefixes) with FP(b-suffixes) chosen so far stay subsets of
-            # the final structure, so any off-color partial kills the branch
-            b_seq.append(y)
-            if _partial_ok(a_seq, b_seq, color):
-                w = extend_b(a_seq, color, b_seq)
+            return FSFPWitness(a_seq=tuple(a_seq), b_seq=tuple(b_seq), color=colors[a_seq[0] - 1])
+        if len(a_seq) < depth:
+            seq, hi = a_seq, N - sum(a_seq)
+        else:
+            seq, hi = b_seq, N // (a_seq[0] * prod(b_seq))
+        for x in range(1, hi + 1):
+            seq.append(x)
+            color = colors[a_seq[0] - 1]
+            part = fp(b_seq) | _mixed(a_seq, b_seq) if b_seq else fs(a_seq)
+            if all(e <= N and colors[e - 1] == color for e in part):
+                w = dfs()
                 if w is not None:
-                    b_seq.pop()
                     return w
-            b_seq.pop()
+            seq.pop()
         return None
 
-    def _partial_ok(a_seq, b_seq, color):
-        for e in fp(b_seq):
-            if e > N or c.colors[e - 1] != color:
-                return False
-        for m in range(1, len(b_seq) + 1):
-            right = fp(b_seq[m - 1 :])
-            for f in fs(a_seq[:m]):
-                for g in right:
-                    e = f * g
-                    if e > N or c.colors[e - 1] != color:
-                        return False
-        return True
-
-    for a_seq in extend_a([]):
-        color = c.colors[a_seq[0] - 1]
-        if not a_ok(a_seq, color):
-            continue
-        w = extend_b(a_seq, color, [])
-        if w is not None:
-            return w
-    return None
+    return dfs()
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +219,11 @@ def search_fsfp(c: Coloring, depth: int):
 def poly_vdw_witness(c: Coloring, polys):
     """Find a, d >= 1 with {a} union {a + P(d)} monochromatic inside [1..N].
     Search order: increasing a + d, then increasing a.  Returns
-    (a, d, color) or None."""
+    (a, d, color) or None.  An empty list is refused: it would make every
+    {a} a witness."""
     polys = list(polys)
+    if not polys:
+        raise ValueError("need at least one polynomial")
     N = c.N
     for s in range(2, 2 * N + 1):
         for a in range(max(1, s - N), min(N, s - 1) + 1):

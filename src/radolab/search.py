@@ -339,14 +339,12 @@ def find_mono_solution(sys: EquationSystem, c: Coloring, budget: SearchBudget):
     hit first."""
     nodes = _Nodes(budget.node_limit)
     bound = min(budget.N, c.N)
-    classes = [[] for _ in range(c.r)]
+    classes = {}
     for k, col in enumerate(c.colors[:bound], start=1):
-        classes[col].append(k)
+        classes.setdefault(col, []).append(k)
     plan = _Plan(sys)
-    for color, values in enumerate(classes):
-        if not values:
-            continue
-        for a in plan.solutions(values, nodes):
+    for color in sorted(classes):
+        for a in plan.solutions(classes[color], nodes):
             return SolutionRecord(assignment=dict(zip(sys.variables, a)), color=color, system=sys.name)
     return None
 

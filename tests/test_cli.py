@@ -363,6 +363,31 @@ def test_colors_must_match_a_coloring_file(capsys, tmp_path):
     assert (code, out) == (2, "") and err.count("\n") == 1
 
 
+def test_polyvdw_refuses_an_empty_list(capsys):
+    code, out, err = run(capsys, ["polyvdw", "--polys", ",", "--range", "10"])
+    assert (code, out, err) == (2, "", "error: need at least one polynomial\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "schur", "--coloring", "random"],
+        ["fsfp", "--coloring", "random"],
+        ["polyvdw", "--coloring", "random", "--polys", "z"],
+        ["rado-number", "schur"],
+        ["export-cnf", "schur", "--out", "OUT"],
+    ],
+    ids=["solve", "fsfp", "polyvdw", "rado-number", "export-cnf"],
+)
+def test_colors_below_1_is_named(capsys, tmp_path, argv):
+    out = tmp_path / "refused.cnf"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    code, stdout, err = run(capsys, argv + ["--colors", "0", "--range", "10"])
+    assert (code, stdout) == (2, "")
+    assert err == "error: --colors must be at least 1, not 0\n"
+    assert not out.exists()
+
+
 def test_polyvdw_bad_poly(capsys):
     code, _, err = run(
         capsys, ["polyvdw", "--coloring", "all-one", "--polys", "z^2 + 1"]

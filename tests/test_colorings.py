@@ -2,6 +2,7 @@
 avoider coloring."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -242,6 +243,61 @@ def test_search_fsfp_returns_lexicographically_least():
     assert (w.a_seq, w.b_seq) == ((1,), (1,))
 
 
+def _first_witness_brute_force(c, depth):
+    """The first (a, b) in lexicographic order that verify_fsfp accepts.  A
+    witness has sum(a) and a_1 * prod(b) in its structure, so sequences with
+    either above N are skipped: verify_fsfp would refuse them as too short."""
+    N = c.N
+    seqs = list(itertools.product(range(1, N + 1), repeat=depth))
+    b_seqs = [b for b in seqs if math.prod(b) <= N]
+    for a in seqs:
+        if sum(a) > N:
+            continue
+        for b in b_seqs:
+            if a[0] * math.prod(b) > N:
+                continue
+            w = FSFPWitness(a_seq=a, b_seq=b, color=c.color_of(a[0]))
+            try:
+                if verify_fsfp(w, c):
+                    return w
+            except ColoringTooShort:
+                pass
+    return None
+
+
+def _one_apart(c):
+    """c with 1 given a color of its own, so a witness needs a_1, b_i >= 2."""
+    return Coloring(N=c.N, r=c.r + 1, colors=(c.r,) + c.colors[1:])
+
+
+@pytest.mark.parametrize(
+    "c, depth",
+    [
+        *((random_coloring(N, r, seed), 2) for N, r, seed in [(12, 2, 1), (25, 2, 2), (40, 3, 4), (30, 3, 5)]),
+        *((_one_apart(random_coloring(40, r, seed)), 2) for r, seed in [(2, 1), (3, 3), (2, 7)]),
+        *((random_coloring(N, r, seed), 3) for N, r, seed in [(10, 2, 6), (12, 3, 8)]),
+        (parity_coloring(40), 2),
+        (parity_coloring(16), 3),
+        (rado_avoider_coloring([1, 1, -3], 5).coloring(40), 2),
+    ],
+)
+def test_search_fsfp_is_brute_force_lexicographically_first(c, depth):
+    assert search_fsfp(c, depth) == _first_witness_brute_force(c, depth)
+
+
+def test_search_fsfp_is_brute_force_first_on_every_small_coloring():
+    for N, depth in [(6, 1), (6, 2), (6, 3)]:
+        for colors in itertools.product(range(2), repeat=N):
+            c = Coloring(N=N, r=2, colors=colors)
+            assert search_fsfp(c, depth) == _first_witness_brute_force(c, depth)
+
+
+def test_search_fsfp_parity_depth_3():
+    # the a-prefixes starting with the odd 1 all fail at a_2 or a_1 + a_2
+    w = search_fsfp(parity_coloring(300), 3)
+    assert w == FSFPWitness(a_seq=(2, 2, 2), b_seq=(2, 2, 2), color=0)
+
+
 def test_witness_structure_matches_pieces():
     w = FSFPWitness(a_seq=(1, 2), b_seq=(2, 3), color=0)
     assert witness_structure(w) == fs((1, 2)) | fp((2, 3)) | mixed_structure(
@@ -271,6 +327,11 @@ def test_poly_vdw_all_one():
 
 def test_poly_vdw_absent_on_tiny_parity():
     assert poly_vdw_witness(parity_coloring(2), [poly_parse("z^2")]) is None
+
+
+def test_poly_vdw_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="at least one polynomial"):
+        poly_vdw_witness(all_one_coloring(10), [])
 
 
 def test_poly_vdw_search_order():

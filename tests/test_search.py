@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,20 @@ def test_first_solvable_class_wins():
     rec = find_mono_solution(sys, c, _budget(6))
     assert rec.color == 0
     assert rec.assignment == {"x": 2, "y": 2, "z": 4}
+
+
+def test_many_colors_cost_no_memory_per_color():
+    # multiples of 3 take color 10, the rest color 900,000; both classes hold
+    # a Schur triple, and the lower color index is scanned first
+    c = Coloring(N=10, r=10**6, colors=tuple(10 if k % 3 == 0 else 900_000 for k in range(1, 11)))
+    tracemalloc.start()
+    try:
+        rec = find_mono_solution(schur_system(), c, _budget(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rec.color, rec.assignment) == (10, {"x": 3, "y": 3, "z": 6})
+    assert peak < 100_000
 
 
 def test_budget_exhaustion_is_distinct():
