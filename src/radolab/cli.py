@@ -32,6 +32,14 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so it prints as one line and exits
+    2 like every other bad input; the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _scalar_json(v):
     return v if isinstance(v, int) else str(v)
 
@@ -62,26 +70,26 @@ def _load_system(spec: str) -> systems.EquationSystem:
 
 
 def _check_range(args) -> None:
-    if args.range > MAX_RANGE:
-        raise CliError(f"--range {args.range} is above {MAX_RANGE:,}, the largest range [1..N] this command builds")
+    if not 1 <= args.range <= MAX_RANGE:
+        raise CliError(f"--range {args.range} is outside [1..{MAX_RANGE:,}], the ranges [1..N] this command builds")
 
 
 def _bad_spec(spec: str, form: str) -> CliError:
     return CliError(f"bad coloring spec {spec!r}: expected {form}")
 
 
-def _load_coloring(spec: str, N: int, r, seed: int) -> colorings.Coloring:
+def _load_coloring(spec: str, N: int, r) -> colorings.Coloring:
     """The coloring `spec` names.  `r` is --colors: the number of colors of
     `random` (default 2); any other coloring fixes its own, and an explicit
     --colors must agree with it."""
     _check_colors(r)
-    col = _build_coloring(spec.strip(), N, 2 if r is None else r, seed)
+    col = _build_coloring(spec.strip(), N, 2 if r is None else r)
     if r is not None and r != col.r:
         raise CliError(f"--colors {r} disagrees with coloring {spec!r}, which has {col.r} colors")
     return col
 
 
-def _build_coloring(spec: str, N: int, r: int, seed: int) -> colorings.Coloring:
+def _build_coloring(spec: str, N: int, r: int) -> colorings.Coloring:
     if spec == "all-one":
         return colorings.all_one_coloring(N)
     if spec == "parity":
@@ -90,7 +98,7 @@ def _build_coloring(spec: str, N: int, r: int, seed: int) -> colorings.Coloring:
         m = re.fullmatch(r"random(?:\(\s*(-?\d+)?\s*\))?", spec)
         if m is None:
             raise _bad_spec(spec, "random or random(seed)")
-        return colorings.random_coloring(N, r, seed if m[1] is None else int(m[1]))
+        return colorings.random_coloring(N, r, 0 if m[1] is None else int(m[1]))
     if spec.startswith("rado-avoider"):
         m = re.fullmatch(r"rado-avoider\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*;\s*(\d+)\s*\)", spec)
         if m is None:
@@ -118,20 +126,16 @@ def _parse_poly_list(text: str):
     return [poly_parse(t) for t in text.split(",") if t.strip()]
 
 
-def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, human: str, searched=None, node_limit=None):
-    """Print the run report.  `searched` is the range actually searched,
-    which can be smaller than --range; --range is reported without it.
-    `node_limit` is the node limit applied when it is not --budget-nodes."""
+def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, human: str, budget=(None, None)):
+    """Print the run report.  `budget` is the (range, node limit) the command
+    applied; a command that searches no range reports both as null."""
     if args.json:
         payload = {
             "command": command,
             "inputs": inputs,
             "outcome": outcome,
             "elapsed_s": round(elapsed, 6),
-            "budget": {
-                "range": searched or getattr(args, "range", None),
-                "node_limit": node_limit or args.budget_nodes,
-            },
+            "budget": {"range": budget[0], "node_limit": budget[1]},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -140,11 +144,6 @@ def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, hum
 
 def _budget(args) -> search.SearchBudget:
     return search.SearchBudget(N=args.range, node_limit=args.budget_nodes)
-
-
-def _colors(args) -> int:
-    _check_colors(args.colors)
-    return 2 if args.colors is None else args.colors
 
 
 def _check_colors(r) -> None:
@@ -233,21 +232,15 @@ def _apply_distinct(sys: systems.EquationSystem, args) -> systems.EquationSystem
 def cmd_solve(args) -> int:
     _check_range(args)
     sys_ = _apply_distinct(_load_system(args.system), args)
-    col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
+    col = _load_coloring(args.coloring, args.range, args.colors)
     searched = min(args.range, col.N)  # a coloring file may be shorter than --range
+    inputs = {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status}
+    budget = (searched, args.budget_nodes)
     t0 = time.perf_counter()
     try:
         rec = search.find_mono_solution(sys_, col, _budget(args))
     except search.BudgetExhausted as exc:
-        _report(
-            args,
-            "solve",
-            {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status},
-            {"budget_exhausted": True},
-            time.perf_counter() - t0,
-            f"BUDGET ({exc})",
-            searched,
-        )
+        _report(args, "solve", inputs, {"budget_exhausted": True}, time.perf_counter() - t0, f"BUDGET ({exc})", budget)
         return EXIT_BUDGET
     elapsed = time.perf_counter() - t0
     label = f"[status={sys_.status}]"
@@ -257,23 +250,15 @@ def cmd_solve(args) -> int:
     else:
         outcome = {"solution": None}
         human = f"NONE-IN-RANGE [1..{searched}] {label}"
-    _report(
-        args,
-        "solve",
-        {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status},
-        outcome,
-        elapsed,
-        human,
-        searched,
-    )
+    _report(args, "solve", inputs, outcome, elapsed, human, budget)
     return EXIT_FOUND if rec is not None else EXIT_NOT_FOUND
 
 
 def cmd_rado_number(args) -> int:
     sys_ = _apply_distinct(_load_system(args.system), args)
-    colors = _colors(args)
+    _check_colors(args.colors)
     t0 = time.perf_counter()
-    res = search.rado_number(sys_, colors, _budget(args))
+    res = search.rado_number(sys_, args.colors, _budget(args))
     elapsed = time.perf_counter() - t0
     avoider = res.avoider.to_text() if res.avoider is not None else None
     outcome = {
@@ -293,19 +278,24 @@ def cmd_rado_number(args) -> int:
     else:
         human = f"UNRESOLVED up to N={args.range} (avoider exists at N={args.range})"
         code = EXIT_NOT_FOUND
-    _report(args, "rado-number", {"system": sys_.name, "colors": colors}, outcome, elapsed, human)
+    inputs = {"system": sys_.name, "colors": args.colors}
+    _report(args, "rado-number", inputs, outcome, elapsed, human, (args.range, args.budget_nodes))
     return code
 
 
 def cmd_export_cnf(args) -> int:
     _check_range(args)
     sys_ = _apply_distinct(_load_system(args.system), args)
-    colors = _colors(args)
-    t0 = time.perf_counter()
-    text = search.export_cnf(sys_, colors, args.range)
-    elapsed = time.perf_counter() - t0
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _check_colors(args.colors)
+    try:
+        # opened first, so a bad --out fails before the enumeration
+        with open(args.out, "w") as fh:
+            t0 = time.perf_counter()
+            text = search.export_cnf(sys_, args.colors, args.range)
+            elapsed = time.perf_counter() - t0
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc}") from exc
     # the header follows a few comment lines; the system name in the first
     # one is quoted, so no line break precedes "p cnf" before the header
     start = text.index("\np cnf ") + 1
@@ -320,18 +310,18 @@ def cmd_export_cnf(args) -> int:
     _report(
         args,
         "export-cnf",
-        {"system": sys_.name, "colors": colors, "range": args.range},
+        {"system": sys_.name, "colors": args.colors, "range": args.range},
         {"file": args.out, "header": header, "truncated": truncated},
         elapsed,
         human,
-        node_limit=search.CNF_TUPLE_LIMIT,
+        (args.range, search.CNF_TUPLE_LIMIT),
     )
     return EXIT_BUDGET if truncated else EXIT_FOUND
 
 
 def cmd_fsfp(args) -> int:
     _check_range(args)
-    col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
+    col = _load_coloring(args.coloring, args.range, args.colors)
     t0 = time.perf_counter()
     w = colorings.search_fsfp(col, args.depth)
     elapsed = time.perf_counter() - t0
@@ -341,13 +331,14 @@ def cmd_fsfp(args) -> int:
     else:
         outcome = {"witness": None}
         human = "NO WITNESS AT THIS SCALE"
-    _report(args, "fsfp", {"coloring": args.coloring, "colors": col.r, "depth": args.depth}, outcome, elapsed, human)
+    inputs = {"coloring": args.coloring, "colors": col.r, "depth": args.depth}
+    _report(args, "fsfp", inputs, outcome, elapsed, human, (args.range, None))
     return EXIT_FOUND if w is not None else EXIT_NOT_FOUND
 
 
 def cmd_polyvdw(args) -> int:
     _check_range(args)
-    col = _load_coloring(args.coloring, args.range, args.colors, args.seed)
+    col = _load_coloring(args.coloring, args.range, args.colors)
     try:
         polys = _parse_poly_list(args.polys)
     except ValueError as exc:
@@ -362,7 +353,8 @@ def cmd_polyvdw(args) -> int:
     else:
         outcome = {"witness": None}
         human = "NO WITNESS AT THIS SCALE"
-    _report(args, "polyvdw", {"coloring": args.coloring, "colors": col.r, "polys": args.polys}, outcome, elapsed, human)
+    inputs = {"coloring": args.coloring, "colors": col.r, "polys": args.polys}
+    _report(args, "polyvdw", inputs, outcome, elapsed, human, (args.range, None))
     return EXIT_FOUND if res is not None else EXIT_NOT_FOUND
 
 
@@ -435,108 +427,96 @@ def cmd_construct_thm37(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON run report")
-    common.add_argument("--seed", type=int, default=0, help="seed for random generators")
-    common.add_argument(
-        "--budget-nodes",
-        type=int,
-        default=None,
-        metavar="K",
-        help="search node limit: a node is one value tried for a variable that no equation"
-        " fixes (a value solved from an equation is free, and interchangeable variables take"
-        " nondecreasing values, so each solution is reached once up to their order);"
-        " rado-number also counts one node per color tried for one integer and one per"
-        " value set examined while forbidding colors ahead; export-cnf always applies its"
-        f" fixed {search.CNF_TUPLE_LIMIT:,}-node limit; other commands ignore it",
-    )
-    common.add_argument("--range", type=int, default=100, metavar="N", help="integer range bound [1..N]")
-    common.add_argument(
-        "--colors",
-        type=int,
-        default=None,
-        metavar="R",
-        help="number of colors (default 2); solve, fsfp and polyvdw take it from a coloring"
-        " other than random, and refuse a --colors that disagrees",
-    )
-    common.add_argument(
-        "--distinct",
-        choices=["repeats", "distinct", "nontrivial"],
-        default=None,
-        help="override the system's distinctness policy",
-    )
-
-    p = argparse.ArgumentParser(prog="radolab", description=__doc__)
+    # the options more than one subcommand reads; each subcommand takes --json
+    # and those of them that its cmd_* reads
+    shared = {
+        "--range": dict(type=int, default=100, metavar="N", help="integer range bound [1..N]"),
+        "--colors": dict(type=int, default=2, metavar="R", help="number of colors (default 2)"),
+        "--coloring": dict(
+            default="all-one",
+            help="coloring spec; one other than random(S) has its own number of colors,"
+            " and a --colors that disagrees with it is refused",
+        ),
+        "--distinct": dict(choices=["repeats", "distinct", "nontrivial"], help="override the system's distinctness policy"),
+        "--budget-nodes": dict(
+            type=int,
+            metavar="K",
+            help="search node limit: a node is one value tried for a variable that no equation"
+            " fixes (a value solved from an equation is free, and interchangeable variables take"
+            " nondecreasing values, so each solution is reached once up to their order);"
+            " rado-number also counts one node per color tried for one integer and one per"
+            " value set examined while forbidding colors ahead",
+        ),
+    }
+    p = _Parser(prog="radolab", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("check-cc", parents=[common], help="decide the column condition")
-    sp.add_argument("matrix")
-    sp.set_defaults(func=cmd_check_cc)
+    def command(name, func, summary, *options, **defaults):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--json", action="store_true", help="emit a JSON run report")
+        for flag in options:
+            sp.add_argument(flag, **shared[flag])
+        sp.set_defaults(func=func, **defaults)
+        return sp
 
-    sp = sub.add_parser("expand", parents=[common], help="print the expanded matrix E(A)")
-    sp.add_argument("matrix")
-    sp.set_defaults(func=cmd_expand)
+    for name, func, summary in (
+        ("check-cc", cmd_check_cc, "decide the column condition"),
+        ("expand", cmd_expand, "print the expanded matrix E(A)"),
+        ("kernel", cmd_kernel, "rational kernel basis of A"),
+    ):
+        command(name, func, summary).add_argument("matrix")
 
-    sp = sub.add_parser("kernel", parents=[common], help="rational kernel basis of A")
-    sp.add_argument("matrix")
-    sp.set_defaults(func=cmd_kernel)
-
-    sp = sub.add_parser("constant-solution", parents=[common], help="solve A(d..d)=b")
+    sp = command("constant-solution", cmd_constant_solution, "solve A(d..d)=b")
     sp.add_argument("matrix")
     sp.add_argument("--rhs", required=True, help="comma-separated right-hand side")
-    sp.set_defaults(func=cmd_constant_solution)
 
-    sp = sub.add_parser("solve", parents=[common], help="monochromatic solution search")
+    # beside --coloring, --colors is unset unless given: a coloring other than
+    # random(S) has its own number of colors, which --colors then only checks
+    sp = command(
+        "solve",
+        cmd_solve,
+        "monochromatic solution search",
+        *("--coloring", "--range", "--colors", "--distinct", "--budget-nodes"),
+        colors=None,
+    )
     sp.add_argument("system", help="system JSON file or template spec")
-    sp.add_argument("--coloring", default="all-one")
-    sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("rado-number", parents=[common], help="generalized Rado number")
+    sp = command("rado-number", cmd_rado_number, "generalized Rado number", "--range", "--colors", "--distinct", "--budget-nodes")
     sp.add_argument("system")
-    sp.set_defaults(func=cmd_rado_number)
 
-    sp = sub.add_parser("export-cnf", parents=[common], help="DIMACS CNF export")
+    sp = command("export-cnf", cmd_export_cnf, "DIMACS CNF export", "--range", "--colors", "--distinct")
     sp.add_argument("system")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_export_cnf)
 
-    sp = sub.add_parser("fsfp", parents=[common], help="FS/FP witness search")
-    sp.add_argument("--coloring", default="all-one")
+    sp = command("fsfp", cmd_fsfp, "FS/FP witness search", "--coloring", "--range", "--colors", colors=None)
     sp.add_argument("--depth", type=int, default=2)
-    sp.set_defaults(func=cmd_fsfp)
 
-    sp = sub.add_parser("polyvdw", parents=[common], help="polynomial vdW witness search")
-    sp.add_argument("--coloring", default="all-one")
+    sp = command("polyvdw", cmd_polyvdw, "polynomial vdW witness search", "--coloring", "--range", "--colors", colors=None)
     sp.add_argument("--polys", required=True, help="comma-separated polynomials")
-    sp.set_defaults(func=cmd_polyvdw)
 
-    sp = sub.add_parser("construct-thm34", parents=[common], help="sum-equals-product construction")
+    sp = command("construct-thm34", cmd_construct_thm34, "sum-equals-product construction")
     sp.add_argument("--a-list", required=True)
     sp.add_argument("--b-list", default="")
     sp.add_argument("--a", required=True)
     sp.add_argument("--d", required=True)
     sp.add_argument("--polys", required=True)
-    sp.set_defaults(func=cmd_construct_thm34)
 
-    sp = sub.add_parser("construct-thm37", parents=[common], help="nonlinear Rado construction")
+    sp = command("construct-thm37", cmd_construct_thm37, "nonlinear Rado construction")
     sp.add_argument("matrix")
     sp.add_argument("--kernel-vec", default="")
     sp.add_argument("--a", required=True)
     sp.add_argument("--d", required=True)
     sp.add_argument("--polys", required=True)
-    sp.set_defaults(func=cmd_construct_thm37)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help; a usage error raises CliError instead
+        return EXIT_FOUND
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,12 +52,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def __call__(self, x: Scalar) -> Scalar:
-        return self.eval(x)
-
     def eval(self, x: Scalar) -> Scalar:
         total = 0
         for d, c in self.coeffs.items():

@@ -25,10 +25,6 @@ class ColumnPartitionWitness:
     def to_json(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ColumnPartitionWitness":
-        return cls(tuple(tuple(int(i) for i in b) for b in data["blocks"]))
-
 
 @dataclass(frozen=True)
 class ExpandedMatrix:

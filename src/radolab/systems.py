@@ -21,9 +21,8 @@ class Monomial:
     def __init__(self, exps=None):
         items = []
         for v, e in (exps or {}).items():
-            e = int(e)
-            if e < 1:
-                raise ValueError("exponents must be positive")
+            if isinstance(e, bool) or not isinstance(e, int) or e < 1:
+                raise ValueError(f"the exponent of {v} must be a positive integer, not {e!r}")
             items.append((str(v), e))
         object.__setattr__(self, "exps", tuple(sorted(items)))
 
@@ -565,17 +564,32 @@ def system_to_json(sys: EquationSystem) -> dict:
     }
 
 
-def system_from_json(data: dict) -> EquationSystem:
+def _json_field(value, kind: type, field: str):
+    """`value`, which the JSON field `field` must give as a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def system_from_json(data) -> EquationSystem:
+    """The system that parsed JSON `data` describes; a ValueError names the
+    first field of the wrong type."""
+    _json_field(data, dict, "the system")
+    variables = _json_field(data.get("variables"), list, "variables")
+    if not all(isinstance(v, str) for v in variables):
+        raise ValueError("variables must be a JSON array of strings")
     eqs = []
-    for eq in data["equations"]:
-        terms = [
-            (parse_scalar(str(t["coeff"])), Monomial(t.get("monomial", {})))
-            for t in eq["terms"]
-        ]
+    for i, eq in enumerate(_json_field(data.get("equations"), list, "equations")):
+        field = f"equations[{i}]"
+        terms = []
+        for j, t in enumerate(_json_field(_json_field(eq, dict, field).get("terms"), list, f"{field}.terms")):
+            _json_field(t, dict, f"{field}.terms[{j}]")
+            mono = _json_field(t.get("monomial", {}), dict, f"{field}.terms[{j}].monomial")
+            terms.append((parse_scalar(str(t["coeff"])), Monomial(mono)))
         eqs.append(Equation(terms))
     return EquationSystem(
         name=data["name"],
-        variables=tuple(data["variables"]),
+        variables=tuple(variables),
         equations=tuple(eqs),
         distinctness=data.get("distinctness", "allow-repeats"),
         status=data.get("status", "unknown"),

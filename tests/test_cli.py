@@ -174,6 +174,36 @@ def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
     assert out.startswith("NONE-IN-RANGE")
 
 
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        ([1, 2], "the system must be a JSON object"),
+        ({"name": "s", "variables": ["x"], "equations": {"terms": []}}, "equations must be a JSON array"),
+        ({"name": "s", "variables": ["x", ["y"]], "equations": []}, "variables must be a JSON array of strings"),
+        (
+            {"name": "s", "variables": ["x"], "equations": [{"terms": [{"coeff": 1, "monomial": ["x"]}]}]},
+            "equations[0].terms[0].monomial must be a JSON object",
+        ),
+        (
+            # x^1.5 = 2y; the exponent used to be truncated to 1
+            {
+                "name": "s",
+                "variables": ["x", "y"],
+                "equations": [{"terms": [{"coeff": 1, "monomial": {"x": 1.5}}, {"coeff": -2, "monomial": {"y": 1}}]}],
+            },
+            "the exponent of x must be a positive integer, not 1.5",
+        ),
+    ],
+    ids=["top-level-array", "equations-object", "variable-list", "monomial-list", "fractional-exponent"],
+)
+def test_malformed_system_json_is_named(capsys, tmp_path, system, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, ["solve", str(path), "--range", "10"])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read system from {path}: {message}\n"
+
+
 def test_solve_concluding_1_keeps_status_label(capsys):
     code, out, _ = run(
         capsys,
@@ -274,11 +304,24 @@ def test_export_cnf_truncated_exits_3(capsys, tmp_path):
     assert code == 3
     assert "TRUNCATED" in out and "200,000-node tuple limit" in out
     assert "under-approximates" in (tmp_path / "g.cnf").read_text()
-    code, report = run_json(capsys, argv + ["--budget-nodes", "7"])
+    code, report = run_json(capsys, argv)
     assert code == 3
     assert report["outcome"]["truncated"] is True
-    # --budget-nodes is ignored: the report names the limit applied
-    assert report["budget"]["node_limit"] == 200000
+    # the report names the fixed limit applied, and no other can be set
+    assert report["budget"] == {"range": 100, "node_limit": 200000}
+    code, out, err = run(capsys, argv + ["--budget-nodes", "7"])
+    assert (code, out) == (2, "")
+    assert err == "error: unrecognized arguments: --budget-nodes 7\n"
+
+
+def test_export_cnf_bad_out_fails_before_enumerating(capsys, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("export_cnf ran")
+
+    monkeypatch.setattr("radolab.search.export_cnf", enumerate_nothing)
+    code, out, err = run(capsys, ["export-cnf", "schur", "--range", "5", "--out", "/nonexistent/dir/x.cnf"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write /nonexistent/dir/x.cnf: ") and err.count("\n") == 1
 
 
 def test_export_cnf_complete_reports_not_truncated(capsys, tmp_path):
@@ -478,6 +521,86 @@ def test_construct_thm37_non_kernel_vec(capsys, tmp_path):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: radolab")
+
+
+# each subcommand with a run that exits 0, and the options its cmd_* reads
+IN_RANGE = {"--json", "--range", "--colors"}
+SUBCOMMANDS = {
+    "check-cc": (["check-cc", "MATRIX"], {"--json"}),
+    "expand": (["expand", "MATRIX"], {"--json"}),
+    "kernel": (["kernel", "MATRIX"], {"--json"}),
+    "constant-solution": (["constant-solution", "MATRIX", "--rhs", "3"], {"--json"}),
+    "solve": (["solve", "schur", "--coloring", "parity"], IN_RANGE | {"--distinct", "--budget-nodes"}),
+    "rado-number": (["rado-number", "schur", "--range", "6"], IN_RANGE | {"--distinct", "--budget-nodes"}),
+    "export-cnf": (["export-cnf", "schur", "--range", "5", "--out", "OUT"], IN_RANGE | {"--distinct"}),
+    "fsfp": (["fsfp", "--coloring", "parity", "--range", "30"], IN_RANGE),
+    "polyvdw": (["polyvdw", "--coloring", "parity", "--polys", "z"], IN_RANGE),
+    "construct-thm34": (["construct-thm34", "--a-list", "1", "--a", "5", "--d", "1", "--polys", "z^2"], {"--json"}),
+    "construct-thm37": (
+        ["construct-thm37", "MATRIX", "--kernel-vec", "1,1,2", "--a", "10", "--d", "2", "--polys", "z^2"],
+        {"--json"},
+    ),
+}
+# the options every subcommand used to accept, with a value each
+OLD_SHARED_OPTIONS = {
+    "--json": [],
+    "--seed": ["1"],
+    "--budget-nodes": ["100000"],
+    "--range": ["10"],
+    "--colors": ["2"],
+    "--distinct": ["repeats"],
+}
+
+
+def subcommand_argv(command, matrix_file, tmp_path):
+    paths = {"MATRIX": matrix_file("1 1 -1"), "OUT": str(tmp_path / "out.cnf")}
+    return [paths.get(a, a) for a in SUBCOMMANDS[command][0]]
+
+
+@pytest.mark.parametrize("option", OLD_SHARED_OPTIONS)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_takes_only_the_options_it_reads(capsys, matrix_file, tmp_path, command, option):
+    given = [option] + OLD_SHARED_OPTIONS[option]
+    code, _, err = run(capsys, subcommand_argv(command, matrix_file, tmp_path) + given)
+    if option in SUBCOMMANDS[command][1]:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err == f"error: unrecognized arguments: {' '.join(given)}\n"
+        assert not (tmp_path / "out.cnf").exists()
+
+
+@pytest.mark.parametrize(
+    "command, budget",
+    [
+        ("check-cc", (None, None)),
+        ("expand", (None, None)),
+        ("kernel", (None, None)),
+        ("constant-solution", (None, None)),
+        ("solve", (100, None)),
+        ("rado-number", (6, None)),
+        ("export-cnf", (5, 200000)),
+        ("fsfp", (30, None)),
+        ("polyvdw", (100, None)),
+        ("construct-thm34", (None, None)),
+        ("construct-thm37", (None, None)),
+    ],
+)
+def test_report_names_the_budget_applied(capsys, matrix_file, tmp_path, command, budget):
+    argv = subcommand_argv(command, matrix_file, tmp_path)
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["budget"] == {"range": budget[0], "node_limit": budget[1]}
+    if "--budget-nodes" in SUBCOMMANDS[command][1]:
+        code, payload = run_json(capsys, argv + ["--budget-nodes", "100000"])
+        assert payload["budget"] == {"range": budget[0], "node_limit": 100000}
 
 
 @pytest.mark.parametrize(
