@@ -61,7 +61,7 @@ def _load_system(spec: str) -> systems.EquationSystem:
         try:
             with open(spec) as fh:
                 return systems.system_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot read system from {spec}: {exc}") from exc
     try:
         return systems.parse_template_spec(spec)

@@ -67,16 +67,25 @@ class _Plan:
     """A system compiled once for the solution search, in declaration order.
 
     Each equation is scaled to integer coefficients and closes at its highest
-    variable.  For each variable i the plan lists its feeds, the terms whose
-    highest variable is i in equations that close later (setting i adds the
-    term's value to that equation's running residual), and its closes, the
-    equations whose highest variable is i.  A closing equation linear in i
-    whose coefficient of i is nonzero fixes i by exact division (one whose
-    only term in i is c * i, the pivot, is used first, through a table of
-    the residuals that give a value in range); every closing equation but
-    the pivot's is checked against the value.  A value of the variable before a pivot
-    whose residual misses the table's key span is never tried.  A
-    variable-free equation with a nonzero constant leaves no solutions.
+    variable.  The search keeps running sums in slots: one per equation, its
+    residual, and one per coefficient of a power i^x inside a slot, which is
+    a polynomial in the variables before i.  Setting i to v adds that
+    coefficient times v^x to the slot above it (the feeds of i), so each
+    product of values is formed once, when its last factor is set.  The
+    closes of i are the equations whose highest variable is i, each with the
+    slots of its coefficients of i^x: once the earlier variables are set,
+    such an equation is a polynomial in i with known integer coefficients.
+
+    A closing equation fixes its variable i, the first one that can:
+    through a table of the residuals that give a value in range when its
+    only term in i is c * i (the pivot); by exact division when it is linear
+    in i; by bisection over the sorted values when its nonzero coefficients
+    share a sign, as for y * z^2, z^2 + z and z^3, since it is then strictly
+    monotone in i on the positive integers.  An equation with mixed signs,
+    or with no term in i left, fixes nothing, and when no equation fixes i,
+    its values are tried one by one.  Every closing equation but the
+    pivot's is checked against the value.  A variable-free equation with a
+    nonzero constant leaves no solutions.
 
     Variables i < j are interchangeable when swapping them maps the
     equations, each in the form `_canonical` gives, onto the same multiset;
@@ -95,12 +104,28 @@ class _Plan:
         self.distinct = sys.distinctness == "all-distinct"
         self.nontrivial = sys.distinctness == "nontrivial"
         self.unsolvable = False
-        self.const = []  # starting residual of each equation
-        self.feeds = [[] for _ in index]  # (e, c, x, others): c * i^x * others
-        self.closes = [[] for _ in index]  # (e, [(c, x, others)])
+        self.const = []  # starting value of each slot
+        self.feeds = [[] for _ in index]  # (s, t, x): setting i to v adds slot t * v^x to slot s
+        self.closes = [[] for _ in index]  # (e, [(t, x), ...]): e's terms in i are slot t * i^x
         self.pivot = [None] * len(index)  # (e, c): c * i is e's only term in i
-        self.linear = [[] for _ in index]  # (e, [(c, others)]): e is linear in i
         forms = []  # the canonical form of each equation
+        below = {}  # (s, i, x) -> the slot of the coefficient of i^x in slot s
+
+        def slot(value):
+            self.const.append(value)
+            return len(self.const) - 1
+
+        def add(s, c, m):
+            # add the term c * m, m its (variable, exponent) pairs in
+            # ascending order, to slot s
+            while m:
+                h, x = m.pop()
+                if (s, h, x) not in below:
+                    below[s, h, x] = slot(0)
+                    self.feeds[h].append((s, below[s, h, x], x))
+                s = below[s, h, x]
+            self.const[s] += c
+
         for eq in sys.equations:
             scale = math.lcm(*(Fraction(c).denominator for c, _ in eq.terms))
             const, terms = 0, []
@@ -114,21 +139,21 @@ class _Plan:
                 self.unsolvable |= const != 0
                 continue
             forms.append(_canonical(terms + [(const, [])]))
-            e = len(self.const)
-            self.const.append(const)
+            e = slot(const)
             top = max(m[-1][0] for _, m in terms)
-            own = []
+            mine = [(c, m) for c, m in terms if m[-1][0] == top]
+            if self.pivot[top] is None and len(mine) == 1 and mine[0][1] == [(top, 1)]:
+                self.pivot[top] = (e, mine[0][0])
+            own = {}  # x -> the slot of the coefficient of top^x
             for c, m in terms:
-                h, x = m.pop()
-                if h == top:
-                    own.append((c, x, tuple(m)))
+                if m[-1][0] == top:
+                    x = m.pop()[1]
+                    if x not in own:
+                        own[x] = slot(0)
+                    add(own[x], c, m)
                 else:
-                    self.feeds[h].append((e, c, x, tuple(m)))
-            self.closes[top].append((e, own))
-            if all(x == 1 for _, x, _ in own):
-                self.linear[top].append((e, [(c, others) for c, _, others in own]))
-                if self.pivot[top] is None and len(own) == 1 and not own[0][2]:
-                    self.pivot[top] = (e, own[0][0])
+                    add(e, c, m)
+            self.closes[top].append((e, [(t, x) for x, t in sorted(own.items())]))
         # prev[i]: the previous member of i's class, or i itself when there is
         # none; i is unset (0) while its value is decided, so a[prev[i]] is
         # the lower bound of i's value either way
@@ -149,13 +174,19 @@ class _Plan:
         """Every solution with all its values in `values` (positive,
         ascending), in lexicographic order, each as the list of its values
         in declaration order.  Each value tried at an enumerated variable
-        costs one node; a value solved from an equation is free.
+        costs one node; a value an equation fixes is free.
 
-        When the next variable is solved from a lookup table and v enters
-        that equation through one term k * v^x, the residual is monotone in
-        v, so the values of v whose residual falls outside the table's key
-        span form a prefix and a suffix of the candidates: they are cut
-        before the loop, never tried and never charged."""
+        Two cuts apply when the next variable w is fixed by its pivot
+        c * w = -res and the variable v being tried enters that equation
+        through one power, as k * v^x (k known when v's turn comes).  The
+        solved w moves monotonically with v, so the values of v that put
+        -res outside the span of c * w over the class form a prefix and a
+        suffix of the candidates, cut by bisection.  And when x = 1, w is an
+        integer only if k * v = -res (mod c): with g = gcd(k, c), no v fits
+        when g does not divide res, and otherwise v runs over one residue
+        class mod c / g, from the values split by residue once per call and
+        modulus.  A value cut either way is never tried and costs no node;
+        the values that remain are tried in ascending order."""
         n = len(self.names)
         if self.unsolvable or n and not values:
             return
@@ -165,27 +196,22 @@ class _Plan:
         a = [0] * n  # a[i]: value of variable i, 0 while unset
         # residual -> value for each pivot: residual + c * v = 0
         lookup = [p and (p[0], {-p[1] * w: w for w in values}) for p in self.pivot]
-        # aheads[i]: when a lookup fixes the variable after i and i enters
-        # its equation through one term c * i^x * others, (the equation,
-        # its table, the term's place in feeds[i], the table's least and
-        # greatest key, and the least and greatest value to the power x)
+        # aheads[i]: when a pivot fixes the variable after i and i enters
+        # its equation through one power i^x, (the equation, its table, the
+        # power's place in feeds[i], the table's least and greatest key, the
+        # least and greatest value to the power x, and |c|)
         aheads = [None] * n
         for i in range(n - 1):
             p = self.pivot[i + 1]
-            into = [(t, x) for t, (e, _, x, _) in enumerate(feeds[i]) if p and e == p[0]]
+            into = [(f, x) for f, (s, _, x) in enumerate(feeds[i]) if p and s == p[0]]
             if len(into) == 1:
-                [(t, x)] = into
+                [(f, x)] = into
                 low, high = sorted((-p[1] * values[0], -p[1] * values[-1]))
-                aheads[i] = (*lookup[i + 1], t, low, high, values[0] ** x, values[-1] ** x)
+                aheads[i] = (*lookup[i + 1], f, low, high, values[0] ** x, values[-1] ** x, abs(p[1]))
         # the equations closing at i that a solved value must be checked
         # against: a value from the lookup table satisfies the pivot's
         solved = [[(e, own) for e, own in closes[i] if not p or e != p[0]] for i, p in enumerate(self.pivot)]
-
-        def prod(others):
-            p = 1
-            for k, y in others:
-                p *= a[k] ** y
-            return p
+        parts = {}  # modulus m -> {residue: the values in that class mod m}
 
         def forced(i):
             # the value an equation fixes for i, None when it is not in the
@@ -193,11 +219,32 @@ class _Plan:
             if lookup[i]:
                 e, table = lookup[i]
                 return table.get(res[e])
-            for e, own in self.linear[i]:
-                coef = sum(c * prod(others) for c, others in own)
-                if coef:
-                    q, r = divmod(-res[e], coef)
-                    return q if not r and q in value_set else None
+            for e, own in closes[i]:
+                r = res[e]
+                ks = [(res[t], x) for t, x in own]
+                low, high = min(ks)[0], max(ks)[0]
+                if low < 0 < high or low == high == 0:
+                    continue  # mixed signs, or no term in i left
+                if ks == [(low, 1)]:
+                    q, rem = divmod(-r, low)
+                    return q if not rem and q in value_set else None
+                if high <= 0:
+                    r, ks = -r, [(-k, x) for k, x in ks]
+                # r + sum k * v^x increases with v: bisect for its zero
+                lo, hi = 0, len(values)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    v = values[mid]
+                    s = r
+                    for k, x in ks:
+                        s += k * v**x
+                    if s < 0:
+                        lo = mid + 1
+                    elif s:
+                        hi = mid
+                    else:
+                        return v
+                return None
             return _ENUMERATE
 
         def place(i, v):
@@ -206,51 +253,65 @@ class _Plan:
             if v < a[prev[i]] or distinct and v in a:
                 return False
             for e, own in solved[i]:
-                if res[e] + sum(c * v**x * prod(others) for c, x, others in own):
+                if res[e] + sum(res[t] * v**x for t, x in own):
                     return False
             a[i] = v
-            for e, c, x, others in feeds[i]:
-                res[e] += c * v**x * prod(others)
+            for s, t, x in feeds[i]:
+                res[s] += res[t] * v**x
             return True
 
         def unplace(i):
             v = a[i]
-            for e, c, x, others in feeds[i]:
-                res[e] -= c * v**x * prod(others)
+            for s, t, x in feeds[i]:
+                res[s] -= res[t] * v**x
             a[i] = 0
 
         def dfs(i):
             w = forced(i)
             if w is None:
                 return
-            # the earlier variables are set, so each term of i is k * v^x
-            fed = [(e, c * prod(others), x) for e, c, x, others in feeds[i]]
-            checks = [(e, [(c * prod(others), x) for c, x, others in own]) for e, own in closes[i]]
-            # when a lookup fixes the next variable and v enters its equation
-            # through one term, a miss there rejects v before it is placed
+            # the earlier variables are set, so each power of i has a known
+            # coefficient k
+            fed = [(s, res[t], x) for s, t, x in feeds[i]]
+            checks = [(e, [(res[t], x) for t, x in own]) for e, own in closes[i]]
+            # when a pivot fixes the next variable and v enters its equation
+            # through one power, a miss there rejects v before it is placed
             ahead = aheads[i] is not None
             if ahead:
-                ae, atable, t, low, high, bottom, top = aheads[i]
-                _, ak, ax = fed[t]
+                ae, atable, f, low, high, bottom, top, c = aheads[i]
+                _, ak, ax = fed[f]
             lo = a[prev[i]]
             if w is not _ENUMERATE:
                 cands, spend = ((w,) if w >= lo else ()), None
             else:
-                start, stop, spend = 0, len(values), nodes.spend
+                pool, hi, spend = values, None, nodes.spend
                 if ahead and ak:
-                    # res[ae] + ak * v^ax lies in the key span [low, high]
-                    # iff v^ax lies in [tlo, thi]
+                    r = res[ae]
+                    # r + ak * v^ax lies in the key span [low, high] iff
+                    # v^ax lies in [tlo, thi]
                     if ak < 0:
                         low, high = high, low
-                    tlo = -((res[ae] - low) // ak)
-                    thi = (high - res[ae]) // ak
+                    tlo = -((r - low) // ak)
+                    thi = (high - r) // ak
                     if tlo > bottom:
                         lo = max(lo, _iroot(tlo - 1, ax) + 1)
                     if thi < top:
-                        stop = bisect_right(values, _iroot(thi, ax)) if thi > 0 else 0
-                if lo:
-                    start = bisect_left(values, lo, 0, stop)
-                cands = values[start:stop] if start or stop < len(values) else values
+                        hi = _iroot(thi, ax) if thi > 0 else 0
+                    if ax == 1:
+                        # c divides r + ak * v
+                        g = math.gcd(ak, c)
+                        if r % g:
+                            return
+                        m = c // g
+                        if m > 1:
+                            if m not in parts:
+                                parts[m] = {}
+                                for v in values:
+                                    parts[m].setdefault(v % m, []).append(v)
+                            pool = parts[m].get(-r // g * pow(ak // g, -1, m) % m, ())
+                start = bisect_left(pool, lo) if lo else 0
+                stop = len(pool) if hi is None else bisect_right(pool, hi, start)
+                cands = pool[start:stop] if start or stop < len(pool) else pool
             for v in cands:
                 if spend:
                     spend()
@@ -268,8 +329,8 @@ class _Plan:
                     if r:
                         continue
                 a[i] = v
-                for e, k, x in fed:
-                    res[e] += k * v**x
+                for s, k, x in fed:
+                    res[s] += k * v**x
                 # the variables after i that equations fix, inline
                 j = i + 1
                 while j < n:
@@ -285,8 +346,8 @@ class _Plan:
                 while j > i + 1:
                     j -= 1
                     unplace(j)
-                for e, k, x in fed:
-                    res[e] -= k * v**x
+                for s, k, x in fed:
+                    res[s] -= k * v**x
                 a[i] = 0
 
         if n == 0:
@@ -371,7 +432,8 @@ def _value_sets(sys, N, nodes):
     tuple, in enumeration order; a set can repeat.  Whether a solution is
     monochromatic depends only on its value set, which is the same for every
     solution in an orbit.  Values whose solved next variable would fall
-    outside [1..N] are cut before they are tried (see `_Plan.solutions`)."""
+    outside [1..N], or not be an integer, are cut before they are tried (see
+    `_Plan.solutions`)."""
     for a in _Plan(sys).solutions(list(range(1, N + 1)), nodes):
         yield tuple(sorted(set(a)))
 

@@ -571,24 +571,32 @@ def _json_field(value, kind: type, field: str):
     return value
 
 
+def _json_key(obj: dict, key: str, where: str):
+    """`obj[key]`, where `obj` is the JSON object at `where`."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
 def system_from_json(data) -> EquationSystem:
     """The system that parsed JSON `data` describes; a ValueError names the
-    first field of the wrong type."""
+    first field of the wrong type or missing key, and where it is."""
     _json_field(data, dict, "the system")
-    variables = _json_field(data.get("variables"), list, "variables")
+    variables = _json_field(_json_key(data, "variables", "the system"), list, "variables")
     if not all(isinstance(v, str) for v in variables):
         raise ValueError("variables must be a JSON array of strings")
     eqs = []
-    for i, eq in enumerate(_json_field(data.get("equations"), list, "equations")):
+    for i, eq in enumerate(_json_field(_json_key(data, "equations", "the system"), list, "equations")):
         field = f"equations[{i}]"
         terms = []
-        for j, t in enumerate(_json_field(_json_field(eq, dict, field).get("terms"), list, f"{field}.terms")):
-            _json_field(t, dict, f"{field}.terms[{j}]")
-            mono = _json_field(t.get("monomial", {}), dict, f"{field}.terms[{j}].monomial")
-            terms.append((parse_scalar(str(t["coeff"])), Monomial(mono)))
+        for j, t in enumerate(_json_field(_json_key(_json_field(eq, dict, field), "terms", field), list, f"{field}.terms")):
+            where = f"{field}.terms[{j}]"
+            _json_field(t, dict, where)
+            mono = _json_field(t.get("monomial", {}), dict, f"{where}.monomial")
+            terms.append((parse_scalar(str(_json_key(t, "coeff", where))), Monomial(mono)))
         eqs.append(Equation(terms))
     return EquationSystem(
-        name=data["name"],
+        name=_json_key(data, "name", "the system"),
         variables=tuple(variables),
         equations=tuple(eqs),
         distinctness=data.get("distinctness", "allow-repeats"),

@@ -193,8 +193,31 @@ def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
             },
             "the exponent of x must be a positive integer, not 1.5",
         ),
+        ({"variables": ["x"], "equations": []}, "the system: missing key 'name'"),
+        ({"name": "s", "equations": []}, "the system: missing key 'variables'"),
+        ({"name": "s", "variables": ["x"]}, "the system: missing key 'equations'"),
+        ({"name": "s", "variables": ["x"], "equations": [{}]}, "equations[0]: missing key 'terms'"),
+        (
+            {
+                "name": "s",
+                "variables": ["x", "y"],
+                "equations": [{"terms": [{"coeff": 1, "monomial": {"x": 1}}, {"monomial": {"y": 1}}]}],
+            },
+            "equations[0].terms[1]: missing key 'coeff'",
+        ),
     ],
-    ids=["top-level-array", "equations-object", "variable-list", "monomial-list", "fractional-exponent"],
+    ids=[
+        "top-level-array",
+        "equations-object",
+        "variable-list",
+        "monomial-list",
+        "fractional-exponent",
+        "no-name",
+        "no-variables",
+        "no-equations",
+        "no-terms",
+        "no-coeff",
+    ],
 )
 def test_malformed_system_json_is_named(capsys, tmp_path, system, message):
     path = tmp_path / "system.json"

@@ -127,12 +127,13 @@ def test_node_budget_boundary():
     classes = [[k for k in range(1, 201) if c.color_of(k) == color] for color in range(c.r)]
     # the values of x, then the values of y from x's on (x and y are
     # interchangeable, so y >= x); a y with x + y below 3 * min(class)
-    # leaves z outside the class and is cut before it is tried
+    # leaves z outside the class, and a y with x + y not a multiple of 3
+    # leaves z fractional: both are cut before they are tried
     spent = sum(
-        len(cls) + sum(1 for x in cls for y in cls if y >= x and x + y >= 3 * cls[0])
+        len(cls) + sum(1 for x in cls for y in cls if y >= x and x + y >= 3 * cls[0] and (x + y) % 3 == 0)
         for cls in classes
     )
-    assert spent == 5297
+    assert spent == 1902
     assert find_mono_solution(sys, c, _budget(200, nodes=spent)) is None
     with pytest.raises(BudgetExhausted):
         find_mono_solution(sys, c, _budget(200, nodes=spent - 1))
@@ -229,6 +230,23 @@ def _brute_force_suite():
         # and with an exponent above 1 (x^2 + y = z, x set just before z)
         _system("yxz", _eq((1, {"x": 2}), (1, y), (-1, z))),
         _system("xyz", _eq((1, x), (-2, {"y": 2}), (2, z))),
+        # a pivot 4z with y entering as 2y: gcd 2 does not divide x + 1 for
+        # an even x, so that level is skipped outright; for an odd x, y runs
+        # over one residue class mod 2
+        _system("xyz", _eq((1, x), (2, y), (1, {}), (-4, z))),
+        _system("xyz", _eq((2, x), (4, y), (1, {}), (-6, z))),
+        # a pivot with |c| >= 3 and a negative coefficient of y
+        _system("xyz", _eq((1, x), (-2, y), (3, z))),
+        _system("xyz", _eq((5, x), (-3, y), (-2, {}), (6, z))),
+        # closings monotone in z, found by bisection: y * z^2, z^2 + z, and
+        # -z^3 - z with the other terms positive
+        _system("xyz", _eq((1, x), (-1, {"y": 1, "z": 2}))),
+        _system("xyz", _eq((1, x), (1, y), (-1, {"z": 2}), (-1, z))),
+        _system("xyz", _eq((1, x), (2, y), (1, {}), (-1, {"z": 3}), (-1, z))),
+        # (x - y) z^2 + z = 6 is monotone in z only when x >= y
+        _system("xyz", _eq((1, {"x": 1, "z": 2}), (-1, {"y": 1, "z": 2}), (1, z), (-6, {}))),
+        # a mixed-sign closing, 2z^2 - z, whose z is still enumerated
+        _system("xyz", _eq((1, x), (1, y), (-2, {"z": 2}), (1, z))),
     ]
     for _ in range(8):
         suite.append(single_equation([coeff() for _ in range(rng.randint(2, 4))]))
@@ -274,26 +292,38 @@ def test_interchangeable_variables_are_detected():
         assert _Plan(sys).classes == classes, sys
 
 
+def _classes(N, seed):
+    """Three seeded random subsets of [1..N], with gaps like the color
+    classes of a random coloring."""
+    rng = random.Random(seed)
+    return [sorted(rng.sample(range(1, N + 1), rng.randint(2, N - 1))) for _ in range(3)]
+
+
 def test_value_sets_match_brute_force():
     found = 0
-    for sys, N in _brute_force_suite():
+    for k, (sys, N) in enumerate(_brute_force_suite()):
         expect = {tuple(sorted(set(s.values()))) for s in _brute_force_solutions(sys, N)}
         assert set(_value_sets(sys, N, _Nodes(None))) == expect, (sys, N)
         found += len(expect)
+        for values in _classes(N, k):
+            got = {tuple(sorted(set(a))) for a in _Plan(sys).solutions(values, _Nodes(None))}
+            assert got == {s for s in expect if set(s) <= set(values)}, (sys, values)
     assert found > 100
 
 
 def test_plan_yields_one_solution_per_orbit():
     # exactly the solutions whose interchangeable variables take
     # nondecreasing values, in lexicographic order, as value lists in
-    # declaration order
-    for sys, N in _brute_force_suite():
+    # declaration order, on [1..N] and on classes with gaps
+    for k, (sys, N) in enumerate(_brute_force_suite()):
         plan = _Plan(sys)
         expect = [
             list(s.values()) for s in _brute_force_solutions(sys, N)
             if all(s[u] <= s[v] for cls in plan.classes for u, v in zip(cls, cls[1:]))
         ]
-        assert list(plan.solutions(list(range(1, N + 1)), _Nodes(None))) == expect, (sys, N)
+        for values in [list(range(1, N + 1))] + _classes(N, k):
+            inside = [a for a in expect if set(a) <= set(values)]
+            assert list(plan.solutions(values, _Nodes(None))) == inside, (sys, values)
 
 
 def test_find_mono_solution_is_brute_force_lexicographically_least():
@@ -329,6 +359,7 @@ def test_cut_charges_only_values_whose_solved_value_is_in_the_class():
     # a class with gaps; z is solved from the equation, so a node is one
     # value of x plus one value of y (y >= x where they are interchangeable)
     # whose solved z lies between the least and the greatest member
+    # and, when y enters linearly, is an integer
     values = [2, 3, 5, 7, 11, 13, 17]
     x, y, z = ({v: 1} for v in "xyz")
     # (equation, interchangeable pair or None, z solved from x and y)
@@ -338,10 +369,17 @@ def test_cut_charges_only_values_whose_solved_value_is_in_the_class():
         (_eq((3, x), (-1, {"y": 3}), (-1, z)), None, lambda x, y: 3 * x - y**3),
         (_eq((1, x), (1, {"y": 2}), (-1, z)), None, lambda x, y: x + y**2),
         (_eq((1, x), (-2, {"y": 2}), (2, z)), None, lambda x, y: Fraction(2 * y**2 - x, 2)),
+        (_eq((1, x), (2, y), (-3, z)), None, lambda x, y: Fraction(x + 2 * y, 3)),
+        (_eq((1, x), (2, y), (1, {}), (-4, z)), None, lambda x, y: Fraction(x + 2 * y + 1, 4)),
+        (_eq((2, x), (2, y), (1, {}), (-4, z)), (0, 1), lambda x, y: Fraction(2 * x + 2 * y + 1, 4)),
+        (_eq((3, x), (-6, y), (9, z)), None, lambda x, y: Fraction(6 * y - 3 * x, 9)),
     ]
     for eq, pair, solve in cases:
         tried = [(a, b) for a in values for b in values if pair != (0, 1) or b >= a]
-        expect = len(values) + sum(1 for a, b in tried if values[0] <= solve(a, b) <= values[-1])
+        linear = ("y", 1) in [p for _, m in eq.terms for p in m.exps]
+        expect = len(values) + sum(
+            1 for a, b in tried if values[0] <= solve(a, b) <= values[-1] and (not linear or solve(a, b) % 1 == 0)
+        )
         nodes = _Nodes(None)
         got = list(_Plan(_system("xyz", eq)).solutions(values, nodes))
         assert nodes.count == expect, eq
@@ -447,8 +485,15 @@ def test_rado_number_node_counts():
     # the counts perfbench/counts.py reports; a change of node unit moves them
     res = rado_number(schur_system(), 3, _budget(60))
     assert (res.nodes, res.pruned) == (1858, 86)
+    # x + y = 3z has value 9, so [1..8] and [1..16] are enumerated: M values
+    # of x, then the y >= x with x + y a multiple of 3 (3z <= 2M < 3M, so
+    # no other cut applies); the other 69 nodes are colors tried and value
+    # sets examined
     res = rado_number(single_equation([1, 1, -3]), 2, _budget(60))
-    assert (res.nodes, res.pruned) == (263, 1)
+    enumerated = sum(
+        M + sum(1 for x in range(1, M + 1) for y in range(x, M + 1) if (x + y) % 3 == 0) for M in (8, 16)
+    )
+    assert (enumerated, res.nodes - enumerated, res.pruned) == (81, 69, 1)
 
 
 def test_rado_number_one_member_sets_forbid_every_color():
@@ -456,8 +501,11 @@ def test_rado_number_one_member_sets_forbid_every_color():
     res = rado_number(single_equation([1, 1, -2]), 3, _budget(10))
     assert res.value == 1 and not res.exhausted
     assert res.avoider is None
-    # 44 nodes enumerate [1..8] (8 values of x, 36 of y >= x), 1 is the color tried for 1
-    assert res.nodes == 45 and res.pruned == 0
+    # [1..8] is enumerated: 8 values of x, then the y >= x with x + y even
+    # (2z = x + y), 20 of them; 1 node is the color tried for 1
+    pairs = sum(1 for x in range(1, 9) for y in range(x, 9) if (x + y) % 2 == 0)
+    assert pairs == 20
+    assert res.nodes == 8 + pairs + 1 and res.pruned == 0
 
 
 def test_rado_number_across_index_growth():
