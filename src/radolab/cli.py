@@ -236,19 +236,21 @@ def cmd_solve(args) -> int:
     searched = min(args.range, col.N)  # a coloring file may be shorter than --range
     inputs = {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status}
     budget = (searched, args.budget_nodes)
+    nodes = search._Nodes(args.budget_nodes)
     t0 = time.perf_counter()
     try:
-        rec = search.find_mono_solution(sys_, col, _budget(args))
+        rec = search.find_mono_solution(sys_, col, _budget(args), nodes)
     except search.BudgetExhausted as exc:
-        _report(args, "solve", inputs, {"budget_exhausted": True}, time.perf_counter() - t0, f"BUDGET ({exc})", budget)
+        outcome = {"budget_exhausted": True, "nodes": nodes.count}
+        _report(args, "solve", inputs, outcome, time.perf_counter() - t0, f"BUDGET ({exc})", budget)
         return EXIT_BUDGET
     elapsed = time.perf_counter() - t0
     label = f"[status={sys_.status}]"
     if rec is not None:
-        outcome = {"solution": _assignment_json(rec.assignment), "color": rec.color}
+        outcome = {"solution": _assignment_json(rec.assignment), "color": rec.color, "nodes": nodes.count}
         human = f"SOLUTION color={rec.color} {rec.assignment} {label}"
     else:
-        outcome = {"solution": None}
+        outcome = {"solution": None, "nodes": nodes.count}
         human = f"NONE-IN-RANGE [1..{searched}] {label}"
     _report(args, "solve", inputs, outcome, elapsed, human, budget)
     return EXIT_FOUND if rec is not None else EXIT_NOT_FOUND

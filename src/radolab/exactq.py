@@ -7,6 +7,7 @@ equality is structural and integer-only workloads stay in fast int arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -163,34 +164,55 @@ def span_member(basis: Sequence[Vector], v: Vector) -> bool:
     return rank(base) == rank(base + [v])
 
 
-def reduce(v: Sequence[Scalar], basis: list) -> list:
-    """v minus its component along the basis: the unique vector in
-    v + span(basis) that is zero in every pivot column.  Linear in v, so it
-    is zero iff v lies in the span.
+def integral(row: Sequence[Scalar]) -> list:
+    """The row times the lcm of its entries' denominators: a list of ints.
+    Scaling the rows of a matrix this way keeps its row space and kernel,
+    and which sums of its columns lie in the span of other columns."""
+    d = math.lcm(*(a.denominator for a in row))
+    return [a.numerator * (d // a.denominator) for a in row]
 
-    ``basis`` is a reduced row echelon basis as built by ``insert``: a list
-    of (pivot_col, row) with row[pivot_col] = 1 and every other row zero in
-    that column, so the rows can be applied in any order."""
-    v = list(v)
+
+def _denominator(basis: list) -> int:
+    """The common denominator D of a basis built by ``insert``: the entry of
+    any row in its pivot column; 1 for the empty basis."""
+    return basis[0][1][basis[0][0]] if basis else 1
+
+
+def reduce(v: Sequence[int], basis: list) -> list:
+    """D times v minus its component along the basis, D the basis's common
+    denominator: a multiple of the unique vector in v + span(basis) that is
+    zero in every pivot column.  Linear in v, so it is zero iff v lies in
+    the span.
+
+    ``basis`` is a reduced row echelon basis as built by ``insert``, kept in
+    integers: a list of (pivot_col, row) with row[pivot_col] = D for every
+    row and every other row zero in that column; the echelon row is row / D.
+    So the rows can be applied in any order, each by the entry of v in its
+    pivot column."""
+    d = _denominator(basis)
+    out = [d * a for a in v] if d != 1 else list(v)
     for p, row in basis:
         f = v[p]
-        if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
+        if f:
+            out = [a - f * b for a, b in zip(out, row)]
+    return out
 
 
-def insert(v: Sequence[Scalar], basis: list) -> None:
-    """Add v to the reduced row echelon basis in place; no change if v
-    already lies in its span."""
+def insert(v: Sequence[int], basis: list) -> None:
+    """Add the integer vector v to the reduced row echelon basis in place; no
+    change if v already lies in its span."""
     v = reduce(v, basis)
     for p, e in enumerate(v):
-        if e != 0:
-            row = [norm_scalar(a / Fraction(e)) for a in v]
-            for k, (q, other) in enumerate(basis):
-                f = other[p]
-                if f != 0:
-                    basis[k] = (q, [norm_scalar(a - f * b) for a, b in zip(other, row)])
-            basis.append((p, row))
+        if e:
+            # every row over the common denominator D * e: the old rows with
+            # column p cleared, and the new one, v / e
+            d = _denominator(basis)
+            rows = [(q, [e * a - row[p] * b for a, b in zip(row, v)]) for q, row in basis]
+            rows.append((p, [d * b for b in v]))
+            g = math.gcd(*(a for _, row in rows for a in row))
+            if e < 0:
+                g = -g
+            basis[:] = [(q, [a // g for a in row]) for q, row in rows]
             return
 
 
@@ -200,7 +222,8 @@ def kernel_basis(A: Matrix) -> list:
     kernel is trivial."""
     basis = []
     for r in A.rows:
-        insert(r, basis)
+        insert(integral(r), basis)
+    d = _denominator(basis)
     pivots = {p for p, _ in basis}
     out = []
     for f in range(A.n):
@@ -209,6 +232,7 @@ def kernel_basis(A: Matrix) -> list:
         v = [0] * A.n
         v[f] = 1
         for p, row in basis:
-            v[p] = -row[f]
+            q, r = divmod(-row[f], d)
+            v[p] = Fraction(-row[f], d) if r else q
         out.append(tuple(v))
     return out

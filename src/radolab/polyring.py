@@ -142,7 +142,3 @@ def poly_parse(text: str) -> Poly:
             c = -c
         coeffs[d] = coeffs.get(d, 0) + c
     return Poly(coeffs)
-
-
-def poly_eval(p: Poly, x: Scalar) -> Scalar:
-    return p.eval(x)

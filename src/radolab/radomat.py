@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .exactq import Matrix, Vector, insert, is_zero_vector, norm_scalar, reduce, span_member
+from .exactq import Matrix, Vector, insert, integral, is_zero_vector, norm_scalar, reduce, span_member
 
 # column_condition on a 1 x n row with no zero-sum subset, such as all ones,
 # runs through all 2^n subsets: n = 24 takes about 10 s (Python 3.11 on one
@@ -77,7 +77,8 @@ def column_condition(A: Matrix):
     n = A.n
     if n > MAX_COLS:
         raise ValueError(f"too many columns ({n} > {MAX_COLS})")
-    cols = A.cols()
+    # rows scaled to integers, for the integer basis of span(U)
+    cols = list(zip(*map(integral, A.rows)))
     basis = []  # reduced row echelon basis of span(U)
     rest = list(range(n))
     blocks = []

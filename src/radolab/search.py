@@ -64,17 +64,32 @@ _ENUMERATE = object()  # no equation fixes the variable: try every value
 
 
 class _Plan:
-    """A system compiled once for the solution search, in declaration order.
+    """A system compiled once for the solution search, in plan order.
 
-    Each equation is scaled to integer coefficients and closes at its highest
-    variable.  The search keeps running sums in slots: one per equation, its
-    residual, and one per coefficient of a power i^x inside a slot, which is
-    a polynomial in the variables before i.  Setting i to v adds that
-    coefficient times v^x to the slot above it (the feeds of i), so each
-    product of values is formed once, when its last factor is set.  The
-    closes of i are the equations whose highest variable is i, each with the
-    slots of its coefficients of i^x: once the earlier variables are set,
-    such an equation is a polynomial in i with known integer coefficients.
+    The plan order is the declaration order with some variables moved
+    earlier (hoisted): after each variable is placed, a later variable w is
+    placed next when some equation then has w as its only unplaced variable
+    and its terms in w have coefficients of one sign, such as the pivot
+    c * w, -y * z^2 or z^2 + z.  Each coefficient of a power of w is then a
+    nonzero polynomial of one sign in the placed variables, so that equation
+    fixes w for every assignment of positive integers to them (see below),
+    and w is never enumerated.  Hoisting repeats until no variable
+    qualifies; among several, the first declared goes first.  In a system
+    of one equation only its last variable can qualify, and it moves only
+    past variables the equation lacks.  For x1 + 2x2 - 3y1 + z^2 + z = 0,
+    2x1 - x2 - y2 + z^3 = 0, declared x1, x2, y1, y2, z, the plan order is
+    x1, x2, y1, z, y2: z^2 + z fixes z once y1 is set, and then -y2 fixes
+    y2.
+
+    Each equation is scaled to integer coefficients and closes at its last
+    variable in plan order.  The search keeps running sums in slots: one per
+    equation, its residual, and one per coefficient of a power i^x inside a
+    slot, which is a polynomial in the variables before i.  Setting i to v
+    adds that coefficient times v^x to the slot above it (the feeds of i), so
+    each product of values is formed once, when its last factor is set.  The
+    closes of i are the equations that close at i, each with the slots of
+    its coefficients of i^x: once the earlier variables are set, such an
+    equation is a polynomial in i with known integer coefficients.
 
     A closing equation fixes its variable i, the first one that can:
     through a table of the residuals that give a value in range when its
@@ -87,6 +102,12 @@ class _Plan:
     pivot's is checked against the value.  A variable-free equation with a
     nonzero constant leaves no solutions.
 
+    Solutions come out in lexicographic order of their values in declaration
+    order.  The enumerated variables are tried in ascending order and keep
+    their declaration order, and a hoisted variable is a function of the
+    enumerated variables declared before it, so two solutions first differ
+    at an enumerated variable, the same in either order.
+
     Variables i < j are interchangeable when swapping them maps the
     equations, each in the form `_canonical` gives, onto the same multiset;
     the distinctness policies are invariant under every permutation.  The
@@ -95,20 +116,66 @@ class _Plan:
     nondecreasing values in declaration order: one solution per orbit of
     the permutations within classes.  The lexicographically least solution
     is among them, since swapping a[i] > a[j] for interchangeable i < j gives
-    a smaller one.
+    a smaller one.  The members of a class keep their declaration order in
+    plan order, so a[prev[i]] is set when i is placed: when an equation
+    fixes i for certain, swapping i with an earlier partner j maps it onto
+    an equation that fixes j from the same placed variables, unless j is
+    in it and so already placed; and of two variables ready at once, the
+    first declared goes first.
+
+    The lists below are indexed by plan position, and so are the values
+    that `solutions` assigns; `pos[k]` is the plan position of the k-th
+    declared variable, None when no variable moves.
     """
 
     def __init__(self, sys: EquationSystem):
         index = {v: i for i, v in enumerate(sys.variables)}
+        n = len(index)
         self.names = sys.variables
         self.distinct = sys.distinctness == "all-distinct"
         self.nontrivial = sys.distinctness == "nontrivial"
         self.unsolvable = False
+        eqs = []  # (constant, [(c, [(variable, exponent), ...]), ...]) per equation with a variable
+        forms = []  # the canonical form of each of them
+        for eq in sys.equations:
+            scale = math.lcm(*(Fraction(c).denominator for c, _ in eq.terms))
+            const, terms = 0, []
+            for c, mono in eq.terms:
+                c = int(c * scale)
+                if mono.exps:
+                    terms.append((c, [(index[v], x) for v, x in mono.exps]))
+                else:
+                    const += c
+            if not terms:
+                self.unsolvable |= const != 0
+                continue
+            eqs.append((const, terms))
+            forms.append(_canonical(terms + [(const, [])]))
+        # prev[i]: the previous member of i's class, or i itself when there is
+        # none; i is unset (0) while its value is decided, so a[prev[i]] is
+        # the lower bound of i's value either way
+        prev = list(range(n))
+        self.classes = []
+        forms.sort()
+        for i in range(n):
+            if prev[i] != i:
+                continue
+            members = [i]
+            for j in range(i + 1, n):
+                if prev[j] == j and _swapped(forms, i, j) == forms:
+                    prev[j] = members[-1]
+                    members.append(j)
+            self.classes.append(tuple(self.names[k] for k in members))
+        order = _plan_order(eqs, n)
+        pos = [0] * n
+        for p, i in enumerate(order):
+            pos[i] = p
+        self.pos = None if order == list(range(n)) else pos
+        self.prev = [pos[prev[i]] for i in order]
         self.const = []  # starting value of each slot
-        self.feeds = [[] for _ in index]  # (s, t, x): setting i to v adds slot t * v^x to slot s
-        self.closes = [[] for _ in index]  # (e, [(t, x), ...]): e's terms in i are slot t * i^x
-        self.pivot = [None] * len(index)  # (e, c): c * i is e's only term in i
-        forms = []  # the canonical form of each equation
+        self.feeds = [[] for _ in order]  # (s, t, x): setting i to v adds slot t * v^x to slot s
+        self.closes = [[] for _ in order]  # (e, [(t, x), ...]): e's terms in i are slot t * i^x
+        self.pivot = [None] * n  # (e, c): c * i is e's only term in i
         below = {}  # (s, i, x) -> the slot of the coefficient of i^x in slot s
 
         def slot(value):
@@ -117,7 +184,7 @@ class _Plan:
 
         def add(s, c, m):
             # add the term c * m, m its (variable, exponent) pairs in
-            # ascending order, to slot s
+            # ascending plan order, to slot s
             while m:
                 h, x = m.pop()
                 if (s, h, x) not in below:
@@ -126,19 +193,8 @@ class _Plan:
                 s = below[s, h, x]
             self.const[s] += c
 
-        for eq in sys.equations:
-            scale = math.lcm(*(Fraction(c).denominator for c, _ in eq.terms))
-            const, terms = 0, []
-            for c, mono in eq.terms:
-                c = int(c * scale)
-                if mono.exps:
-                    terms.append((c, sorted((index[v], x) for v, x in mono.exps)))
-                else:
-                    const += c
-            if not terms:
-                self.unsolvable |= const != 0
-                continue
-            forms.append(_canonical(terms + [(const, [])]))
+        for const, terms in eqs:
+            terms = [(c, sorted((pos[i], x) for i, x in m)) for c, m in terms]
             e = slot(const)
             top = max(m[-1][0] for _, m in terms)
             mine = [(c, m) for c, m in terms if m[-1][0] == top]
@@ -154,27 +210,13 @@ class _Plan:
                 else:
                     add(e, c, m)
             self.closes[top].append((e, [(t, x) for x, t in sorted(own.items())]))
-        # prev[i]: the previous member of i's class, or i itself when there is
-        # none; i is unset (0) while its value is decided, so a[prev[i]] is
-        # the lower bound of i's value either way
-        self.prev = list(range(len(index)))
-        self.classes = []
-        forms.sort()
-        for i in range(len(index)):
-            if self.prev[i] != i:
-                continue
-            members = [i]
-            for j in range(i + 1, len(index)):
-                if self.prev[j] == j and _swapped(forms, i, j) == forms:
-                    self.prev[j] = members[-1]
-                    members.append(j)
-            self.classes.append(tuple(self.names[k] for k in members))
 
     def solutions(self, values, nodes):
         """Every solution with all its values in `values` (positive,
         ascending), in lexicographic order, each as the list of its values
         in declaration order.  Each value tried at an enumerated variable
-        costs one node; a value an equation fixes is free.
+        costs one node; a value an equation fixes is free.  Variables are set
+        in plan order, and "next" below means next in plan order.
 
         Two cuts apply when the next variable w is fixed by its pivot
         c * w = -res and the variable v being tried enters that equation
@@ -190,16 +232,16 @@ class _Plan:
         n = len(self.names)
         if self.unsolvable or n and not values:
             return
-        feeds, closes, distinct, prev = self.feeds, self.closes, self.distinct, self.prev
+        feeds, closes, distinct, prev, pos = self.feeds, self.closes, self.distinct, self.prev, self.pos
         value_set = set(values)
         res = list(self.const)
-        a = [0] * n  # a[i]: value of variable i, 0 while unset
+        a = [0] * n  # a[i]: value of the variable at plan position i, 0 while unset
         # residual -> value for each pivot: residual + c * v = 0
         lookup = [p and (p[0], {-p[1] * w: w for w in values}) for p in self.pivot]
-        # aheads[i]: when a pivot fixes the variable after i and i enters
-        # its equation through one power i^x, (the equation, its table, the
-        # power's place in feeds[i], the table's least and greatest key, the
-        # least and greatest value to the power x, and |c|)
+        # aheads[i]: when a pivot fixes the variable after i in plan order
+        # and i enters its equation through one power i^x, (the equation,
+        # its table, the power's place in feeds[i], the table's least and
+        # greatest key, the least and greatest value to the power x, and |c|)
         aheads = [None] * n
         for i in range(n - 1):
             p = self.pivot[i + 1]
@@ -340,7 +382,7 @@ class _Plan:
                     j += 1
                 if j == n:
                     if not (self.nontrivial and len(set(a)) == 1):
-                        yield a[:]
+                        yield a[:] if pos is None else [a[p] for p in pos]
                 elif w is _ENUMERATE:
                     yield from dfs(j)
                 while j > i + 1:
@@ -354,6 +396,32 @@ class _Plan:
             yield []
         else:
             yield from dfs(0)
+
+
+def _plan_order(eqs, n):
+    """The plan order of `_Plan` for variables 0..n-1: each in declaration
+    order, followed by the variables that its placing lets an equation fix
+    for certain.  `eqs` holds each equation's (constant, terms)."""
+    # per equation: each variable's signs among the terms it is in
+    signs = []
+    for _, terms in eqs:
+        s = {}
+        for c, m in terms:
+            for i, _ in m:
+                s.setdefault(i, set()).add(c > 0)
+        signs.append(s)
+    order, placed = [], [False] * n
+    for i in range(n):
+        w = None if placed[i] else i
+        while w is not None:
+            order.append(w)
+            placed[w] = True
+            ready = [
+                v for s in signs for v in s
+                if not placed[v] and len(s[v]) == 1 and all(placed[u] or u == v for u in s)
+            ]
+            w = min(ready, default=None)
+    return order
 
 
 def _iroot(t, x):
@@ -392,13 +460,16 @@ def _swapped(forms, i, j):
 # public operations
 
 
-def find_mono_solution(sys: EquationSystem, c: Coloring, budget: SearchBudget):
+def find_mono_solution(sys: EquationSystem, c: Coloring, budget: SearchBudget, nodes: _Nodes = None):
     """First monochromatic solution of the system inside [1..min(N, c.N)],
     scanning color classes in index order and values in ascending order
     (lexicographically least within the first solvable class).  None when no
     solution exists in range; raises BudgetExhausted when the node limit is
-    hit first."""
-    nodes = _Nodes(budget.node_limit)
+    hit first.  The nodes are charged to `nodes`, by default a fresh
+    counter with the budget's limit; a caller that passes its own reads the
+    count from it whatever the outcome."""
+    if nodes is None:
+        nodes = _Nodes(budget.node_limit)
     bound = min(budget.N, c.N)
     classes = {}
     for k, col in enumerate(c.colors[:bound], start=1):

@@ -137,9 +137,6 @@ class EquationSystem:
     def residuals(self, assignment: dict) -> list:
         return [eval_equation(eq, assignment) for eq in self.equations]
 
-    def satisfied_by(self, assignment: dict) -> bool:
-        return all(r == 0 for r in self.residuals(assignment))
-
 
 def integrality_check(assignment: dict) -> bool:
     """True iff every assigned value is a positive integer (the solution
@@ -544,24 +541,6 @@ def construct_thm37(A: Matrix, X: Vector, a, d, polys) -> dict:
 
 # ---------------------------------------------------------------------------
 # JSON wire format
-
-
-def system_to_json(sys: EquationSystem) -> dict:
-    return {
-        "name": sys.name,
-        "variables": list(sys.variables),
-        "equations": [
-            {
-                "terms": [
-                    {"coeff": str(c), "monomial": dict(mono.exps)}
-                    for c, mono in eq.terms
-                ]
-            }
-            for eq in sys.equations
-        ],
-        "distinctness": sys.distinctness,
-        "status": sys.status,
-    }
 
 
 def _json_field(value, kind: type, field: str):

@@ -253,6 +253,22 @@ def test_solve_budget_exit_code(capsys):
     assert "BUDGET" in out
 
 
+def test_solve_json_reports_nodes_on_every_outcome(capsys, tmp_path):
+    # a solution: only x1, x2, x3 and y1 are tried, since z and y2 are fixed
+    argv = ["solve", "ap-times-power(2,2,3)", "--coloring", "parity", "--range", "24"]
+    code, payload = run_json(capsys, argv)
+    assert (code, payload["outcome"]["nodes"]) == (0, 502)
+    # none in range: each x, then each y >= x with x + y between the least
+    # and the greatest member of the class: (1, 1) in {1, 4}, none in {2, 3}
+    path = tmp_path / "four.col"
+    path.write_text("4 2\n0 1 1 0\n")
+    code, payload = run_json(capsys, ["solve", "schur", "--coloring", str(path), "--range", "4"])
+    assert (code, payload["outcome"]) == (1, {"solution": None, "nodes": 2 + 1 + 2 + 0})
+    # the budget runs out at the node past the limit
+    code, payload = run_json(capsys, argv + ["--budget-nodes", "100"])
+    assert (code, payload["outcome"]) == (3, {"budget_exhausted": True, "nodes": 101})
+
+
 def test_solve_coloring_file(capsys, tmp_path):
     p = tmp_path / "col.txt"
     p.write_text("4 2\n0 1 1 0\n")

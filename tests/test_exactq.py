@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,14 @@ import sympy
 
 from radolab.exactq import (
     Matrix,
+    insert,
+    integral,
     kernel_basis,
     mat_vec,
     norm_scalar,
     parse_scalar,
     rank,
+    reduce,
     span_member,
 )
 
@@ -101,14 +105,7 @@ def test_kernel_basis_examples():
     assert span_member(kb, (1, 1, 1))
 
 
-def test_kernel_basis_properties():
-    rng = random.Random(13)
-
-    def entry():
-        if rng.random() < 0.3:
-            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-        return rng.randint(-3, 3)
-
+def _check_kernel_basis(rng, entry):
     for _ in range(300):
         m = rng.randint(1, 4)
         n = rng.randint(1, 6)
@@ -125,7 +122,50 @@ def test_kernel_basis_properties():
         assert basis == expected, (A, basis, expected)
 
 
+def test_kernel_basis_properties():
+    rng = random.Random(13)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return rng.randint(-3, 3)
+
+    _check_kernel_basis(rng, entry)
+
+
+def test_kernel_basis_of_fractional_matrices():
+    # every entry a fraction, so every row is scaled to integers first
+    rng = random.Random(14)
+    _check_kernel_basis(rng, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+
+
 def test_rank_fraction_entries():
     A = Matrix.from_text("1/2 1\n1 2")
     assert rank(A.rows) == 1
     assert rank([(Fraction(1, 3), 1), (1, 3)]) == 1
+
+
+def test_integer_basis_over_one_denominator():
+    # the rows are ints over one common denominator D, in lowest terms; the
+    # echelon rows are row / D, and reduce gives D times the residual
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        basis = []
+        for r in rows:
+            insert(integral(r), basis)
+        assert len(basis) == rank(rows)
+        if not basis:
+            continue
+        d = basis[0][1][basis[0][0]]
+        assert d > 0 and math.gcd(*(a for _, row in basis for a in row)) == 1
+        for p, row in basis:
+            assert all(isinstance(a, int) for a in row)
+            assert [other[p] for _, other in basis] == [d if q == p else 0 for q, _ in basis]
+        for r in rows:
+            assert not any(reduce(integral(r), basis))
+        v = [rng.randint(-5, 5) for _ in range(n)]
+        residual = [Fraction(a, d) for a in reduce(v, basis)]
+        assert span_member([tuple(r) for r in rows], tuple(a - b for a, b in zip(v, residual)))
+        assert all(residual[p] == 0 for p, _ in basis)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from radolab.colorings import Coloring, all_one_coloring, rado_avoider_coloring
+from radolab.colorings import Coloring, all_one_coloring, parity_coloring, rado_avoider_coloring, random_coloring
 from radolab.polyring import poly_parse
 from radolab.search import (
     BudgetExhausted,
@@ -29,6 +29,7 @@ from radolab.systems import (
     Equation,
     EquationSystem,
     Monomial,
+    ap_times_power,
     build_nonlinear_rado,
     eval_equation,
     mult_schur_system,
@@ -79,7 +80,7 @@ def test_example_system_all_one_10():
     assert rec.assignment == {"x1": 1, "x2": 1, "y1": 3, "y2": 9, "z": 2}
     assert validate_solution(sys, all_one_coloring(10), rec)
     # the hand-built solution (2, 1, 2, 4, 1) is valid too, just later
-    assert sys.satisfied_by({"x1": 2, "x2": 1, "y1": 2, "y2": 4, "z": 1})
+    assert sys.residuals({"x1": 2, "x2": 1, "y1": 2, "y2": 4, "z": 1}) == [0, 0]
 
 
 def test_solution_is_lexicographically_least():
@@ -248,6 +249,7 @@ def _brute_force_suite():
         # a mixed-sign closing, 2z^2 - z, whose z is still enumerated
         _system("xyz", _eq((1, x), (1, y), (-2, {"z": 2}), (1, z))),
     ]
+    suite += [sys for sys, _ in _plan_order_cases()]
     for _ in range(8):
         suite.append(single_equation([coeff() for _ in range(rng.randint(2, 4))]))
         names = ("a", "b", "c", "d")
@@ -259,6 +261,72 @@ def _brute_force_suite():
         N = 7 if len(sys.variables) <= 4 else 5
         for policy in DISTINCTNESS:
             yield dataclasses.replace(sys, distinctness=policy), N
+
+
+def _plan_order_cases():
+    """Systems whose plan order hoists a variable, or must not, each with its
+    plan order."""
+    x, y, z, w, u, p, q = ({v: 1} for v in "xyzwupq")
+    crit8 = build_nonlinear_rado(Matrix([[1, 2, -3], [2, -1, -1]]), [poly_parse("z^2 + z"), poly_parse("z^3")])
+    return [
+        # z^2 + z fixes z once y1 is set, and then the pivot -y2 fixes y2
+        (crit8, "x1 x2 y1 z y2"),
+        # y1 * z^2 fixes z, and z^2 * y2 fixes y2
+        (ap_times_power(2, 2, 3), "x1 x2 x3 y1 z y2"),
+        # the hoisted pivot 4z feeds the key-span cut and the residue step
+        # of y, which enters as 2y; u, mixed in u^2 - u, keeps its turn
+        (_system("xyuz", _eq((1, x), (2, y), (1, {}), (-4, z)), _eq((1, {"u": 2}), (-1, u), (-1, z))), "x y z u"),
+        # not hoisted: 2z^2 - z = x has mixed signs, so z waits for y and
+        # its pivot in y + z = x + 3
+        (_system("xyz", _eq((1, x), (-2, {"z": 2}), (1, z)), _eq((1, y), (1, z), (-1, x), (-3, {}))), "x y z"),
+        # not hoisted: x * (z - 1) * (z - 4) = 0 has mixed signs and two
+        # roots, so trying z before y would break the lexicographic order
+        (
+            _system("xyz", _eq((1, {"x": 1, "z": 2}), (-5, {"x": 1, "z": 1}), (4, x)), _eq((1, y), (1, z), (-1, x), (-5, {}))),
+            "x y z",
+        ),
+        # not hoisted: the coefficient x - y of z can vanish
+        (
+            _system("xywz", _eq((1, {"x": 1, "z": 1}), (-1, {"y": 1, "z": 1}), (-2, {})), _eq((1, w), (1, z), (-1, x), (-1, y))),
+            "x y w z",
+        ),
+        # interchangeable p and q (2x = p + 1, 2x = q + 1) are hoisted
+        # together, in declaration order
+        (
+            _system("xypq", _eq((2, x), (-1, p), (-1, {})), _eq((2, x), (-1, q), (-1, {})), _eq((1, y), (-1, p), (-1, q))),
+            "x p q y",
+        ),
+        # a hoisted q placed after its partner p: p <= q is checked there
+        (_system("pxyq", _eq((1, p), (1, q), (-2, x)), _eq((1, {"y": 2}), (-1, y), (-1, x))), "p x q y"),
+    ]
+
+
+def test_plan_order_hoists_only_certain_fixes():
+    for sys, order in _plan_order_cases():
+        plan = _Plan(sys)
+        pos = plan.pos or range(len(sys.variables))
+        assert " ".join(sorted(sys.variables, key=lambda v: pos[sys.variables.index(v)])) == order, sys
+    # one equation hoists nothing
+    for sys in (schur_system(), single_equation([1, 1, 1, -5]), mult_schur_system()):
+        assert _Plan(sys).pos is None
+
+
+def test_plan_order_node_counts():
+    # y2 is fixed, never tried: only x1, x2 (and x3) and y1 cost nodes
+    crit8 = build_nonlinear_rado(Matrix([[1, 2, -3], [2, -1, -1]]), [poly_parse("z^2 + z"), poly_parse("z^3")])
+    aptp = ap_times_power(2, 2, 3)
+    cases = [
+        (crit8, random_coloring(40, 2, 1), 467, {"x1": 2, "x2": 1, "y1": 2, "y2": 4, "z": 1}),
+        (crit8, random_coloring(40, 2, 0), 332, {"x1": 10, "x2": 10, "y1": 14, "y2": 37, "z": 3}),
+        (aptp, parity_coloring(32), 858, {"x1": 2, "x2": 8, "x3": 6, "y1": 4, "y2": 6, "z": 2}),
+        (aptp, parity_coloring(24), 502, {"x1": 2, "x2": 8, "x3": 6, "y1": 4, "y2": 6, "z": 2}),
+    ]
+    for sys, c, spent, assignment in cases:
+        nodes = _Nodes(None)
+        rec = find_mono_solution(sys, c, _budget(c.N), nodes)
+        assert (nodes.count, rec.assignment, rec.color) == (spent, assignment, 0)
+        with pytest.raises(BudgetExhausted):
+            find_mono_solution(sys, c, _budget(c.N, nodes=spent - 1))
 
 
 def test_interchangeable_variables_are_detected():

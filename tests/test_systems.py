@@ -31,7 +31,6 @@ from radolab.systems import (
     single_equation,
     sums_with_poly,
     system_from_json,
-    system_to_json,
 )
 
 
@@ -385,23 +384,32 @@ def test_thm37_random_identity():
 # JSON round trip
 
 
+def _json_terms(*terms):
+    return {"terms": [{"coeff": c, "monomial": m} for c, m in terms]}
+
+
 def test_json_round_trip():
     A = Matrix([[1, 2, -3], [2, -1, -1]])
     sys = build_nonlinear_rado(A, [poly_parse("z^2 + z"), poly_parse("z^3")])
-    data = system_to_json(sys)
-    assert data["variables"] == ["x1", "x2", "y1", "y2", "z"]
-    assert data["distinctness"] == "allow-repeats"
+    data = {
+        "name": sys.name,
+        "variables": ["x1", "x2", "y1", "y2", "z"],
+        "equations": [
+            _json_terms(("1", {"x1": 1}), ("2", {"x2": 1}), ("-3", {"y1": 1}), ("1", {"z": 2}), ("1", {"z": 1})),
+            _json_terms(("2", {"x1": 1}), ("-1", {"x2": 1}), ("-1", {"y2": 1}), ("1", {"z": 3})),
+        ],
+        "distinctness": "allow-repeats",
+        "status": "regular-by-paper",
+    }
     back = system_from_json(data)
     assert back.variables == sys.variables
     assert back.equations == sys.equations
     assert back.status == sys.status
+    assert back.distinctness == sys.distinctness
 
 
 def test_json_fraction_coeffs():
     eq = Equation([(Fraction(1, 2), Monomial({"x": 2})), (-1, Monomial({"y": 1}))])
-    sys = EquationSystem(name="t", variables=("x", "y"), equations=(eq,))
-    data = system_to_json(sys)
-    coeffs = [t["coeff"] for t in data["equations"][0]["terms"]]
-    assert "1/2" in coeffs
+    data = {"name": "t", "variables": ["x", "y"], "equations": [_json_terms(("1/2", {"x": 2}), ("-1", {"y": 1}))]}
     back = system_from_json(data)
     assert back.equations[0] == eq
