@@ -7,6 +7,7 @@ error, 3 budget exhausted (export-cnf: enumeration truncated).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -173,16 +174,9 @@ def cmd_check_cc(args) -> int:
 def cmd_expand(args) -> int:
     A = _load_matrix(args.matrix)
     t0 = time.perf_counter()
-    e = radomat.expand_matrix(A)
+    text = radomat.expand_matrix(A).to_text()
     elapsed = time.perf_counter() - t0
-    _report(
-        args,
-        "expand",
-        {"matrix": A.to_text()},
-        {"expanded": e.expanded.to_text()},
-        elapsed,
-        e.expanded.to_text(),
-    )
+    _report(args, "expand", {"matrix": A.to_text()}, {"expanded": text}, elapsed, text)
     return EXIT_FOUND
 
 
@@ -217,16 +211,17 @@ def cmd_constant_solution(args) -> int:
 
 
 def _apply_distinct(sys: systems.EquationSystem, args) -> systems.EquationSystem:
+    """The system under the --distinct policy.  The policies nest: each
+    admits every solution of those before it in `nested`.  So a regular
+    system stays regular under a wider policy, a non-regular one under a
+    narrower one, and any other change leaves the status unknown."""
     if args.distinct is None:
         return sys
-    mapping = {"repeats": "allow-repeats", "distinct": "all-distinct", "nontrivial": "nontrivial"}
-    return systems.EquationSystem(
-        name=sys.name,
-        variables=sys.variables,
-        equations=sys.equations,
-        distinctness=mapping[args.distinct],
-        status=sys.status,
-    )
+    nested = ("all-distinct", "nontrivial", "allow-repeats")
+    policy = {"repeats": "allow-repeats", "distinct": "all-distinct", "nontrivial": "nontrivial"}[args.distinct]
+    wider = nested.index(policy) - nested.index(sys.distinctness)
+    keeps = wider >= 0 if sys.status == "regular-by-paper" else wider <= 0
+    return dataclasses.replace(sys, distinctness=policy, status=sys.status if keeps else "unknown")
 
 
 def cmd_solve(args) -> int:

@@ -70,14 +70,14 @@ class Poly:
     def __str__(self):
         return self.render()
 
-    def render(self, var: str = "z") -> str:
+    def render(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
         for d in sorted(self.coeffs, reverse=True):
             c = self.coeffs[d]
             mag = abs(c)
-            body = var if d == 1 else f"{var}^{d}"
+            body = "z" if d == 1 else f"z^{d}"
             if mag != 1:
                 body = f"{mag}*{body}"
             if not parts:

@@ -26,12 +26,6 @@ class ColumnPartitionWitness:
         return {"blocks": [list(b) for b in self.blocks]}
 
 
-@dataclass(frozen=True)
-class ExpandedMatrix:
-    base: Matrix
-    expanded: Matrix
-
-
 def _first_zero_sum(vecs: list) -> int:
     """Mask of the first nonempty subset of `vecs`, in ascending-mask order,
     whose sum is zero; 0 when there is none.
@@ -194,7 +188,7 @@ def validate_witness(A: Matrix, w: ColumnPartitionWitness) -> bool:
     return True
 
 
-def expand_matrix(A: Matrix) -> ExpandedMatrix:
+def expand_matrix(A: Matrix) -> Matrix:
     """E(A): keep columns 1..n-1, split the last column into a diagonal block
     of per-row entries a_{i,n}."""
     if A.n < 2:
@@ -205,7 +199,7 @@ def expand_matrix(A: Matrix) -> ExpandedMatrix:
         row = list(A.rows[i][: n - 1]) + [0] * m
         row[n - 1 + i] = A.rows[i][n - 1]
         rows.append(row)
-    return ExpandedMatrix(base=A, expanded=Matrix(rows))
+    return Matrix(rows)
 
 
 def constant_solution(A: Matrix, b: Vector):

@@ -54,13 +54,10 @@ class _Nodes:
         self.count = 0
         self.limit = limit
 
-    def spend(self, k: int = 1):
-        self.count += k
+    def spend(self):
+        self.count += 1
         if self.limit is not None and self.count > self.limit:
             raise BudgetExhausted(f"node budget {self.limit} exhausted")
-
-
-_ENUMERATE = object()  # no equation fixes the variable: try every value
 
 
 class _Plan:
@@ -91,16 +88,16 @@ class _Plan:
     its coefficients of i^x: once the earlier variables are set, such an
     equation is a polynomial in i with known integer coefficients.
 
-    A closing equation fixes its variable i, the first one that can:
-    through a table of the residuals that give a value in range when its
-    only term in i is c * i (the pivot); by exact division when it is linear
-    in i; by bisection over the sorted values when its nonzero coefficients
-    share a sign, as for y * z^2, z^2 + z and z^3, since it is then strictly
-    monotone in i on the positive integers.  An equation with mixed signs,
-    or with no term in i left, fixes nothing, and when no equation fixes i,
-    its values are tried one by one.  Every closing equation but the
-    pivot's is checked against the value.  A variable-free equation with a
-    nonzero constant leaves no solutions.
+    A position i has at most one fixing equation, chosen here by the sign
+    test of hoisting (`_signs`): the first closing at i whose only term in
+    i is c * i (the pivot), else the first whose terms in i share a sign.
+    The pivot fixes i through a table of residuals, which the cuts of
+    `solutions` read; any other by bisection, as it is monotone in i in the
+    direction of its sign (y * z = x1 + x2 + x3 is the case of one power).
+    So the hoisted positions, and the first if it has one, are fixed; the
+    rest are enumerated.  Every other closing equation is checked.  The test
+    reads signs, not values: z of (x - y) * z^2 + z = 6 is enumerated.  A
+    variable-free equation with a nonzero constant leaves no solutions.
 
     Solutions come out in lexicographic order of their values in declaration
     order.  The enumerated variables are tried in ascending order and keep
@@ -166,7 +163,8 @@ class _Plan:
                     prev[j] = members[-1]
                     members.append(j)
             self.classes.append(tuple(self.names[k] for k in members))
-        order = _plan_order(eqs, n)
+        signs = [_signs(terms) for _, terms in eqs]
+        order = _plan_order(signs, n)
         pos = [0] * n
         for p, i in enumerate(order):
             pos[i] = p
@@ -175,7 +173,9 @@ class _Plan:
         self.const = []  # starting value of each slot
         self.feeds = [[] for _ in order]  # (s, t, x): setting i to v adds slot t * v^x to slot s
         self.closes = [[] for _ in order]  # (e, [(t, x), ...]): e's terms in i are slot t * i^x
-        self.pivot = [None] * n  # (e, c): c * i is e's only term in i
+        # (e, [(t, x), ...], up, c): the equation e that fixes i, increasing
+        # in i when up; c when c * i is its only term in i (the pivot), else None
+        self.fixing = [None] * n
         below = {}  # (s, i, x) -> the slot of the coefficient of i^x in slot s
 
         def slot(value):
@@ -193,13 +193,12 @@ class _Plan:
                 s = below[s, h, x]
             self.const[s] += c
 
-        for const, terms in eqs:
+        for (const, terms), sign in zip(eqs, signs):
             terms = [(c, sorted((pos[i], x) for i, x in m)) for c, m in terms]
             e = slot(const)
             top = max(m[-1][0] for _, m in terms)
             mine = [(c, m) for c, m in terms if m[-1][0] == top]
-            if self.pivot[top] is None and len(mine) == 1 and mine[0][1] == [(top, 1)]:
-                self.pivot[top] = (e, mine[0][0])
+            pivot = mine[0][0] if len(mine) == 1 and mine[0][1] == [(top, 1)] else None
             own = {}  # x -> the slot of the coefficient of top^x
             for c, m in terms:
                 if m[-1][0] == top:
@@ -209,7 +208,15 @@ class _Plan:
                     add(own[x], c, m)
                 else:
                     add(e, c, m)
-            self.closes[top].append((e, [(t, x) for x, t in sorted(own.items())]))
+            close = (e, [(t, x) for x, t in sorted(own.items())])
+            self.closes[top].append(close)
+            up, f = sign[order[top]], self.fixing[top]
+            if up and (f is None or pivot and not f[3]):
+                self.fixing[top] = (*close, up > 0, pivot)
+        # the closing equations a value for i is checked against: all but its fixing one
+        self.solved = [[c for c in self.closes[i] if not f or c[0] != f[0]] for i, f in enumerate(self.fixing)]
+        # until[i]: the first position after i that no equation fixes, or n
+        self.until = [next((j for j in range(i + 1, n) if not self.fixing[j]), n) for i in range(n)]
 
     def solutions(self, values, nodes):
         """Every solution with all its values in `values` (positive,
@@ -232,62 +239,50 @@ class _Plan:
         n = len(self.names)
         if self.unsolvable or n and not values:
             return
-        feeds, closes, distinct, prev, pos = self.feeds, self.closes, self.distinct, self.prev, self.pos
-        value_set = set(values)
+        feeds, distinct, prev, pos = self.feeds, self.distinct, self.prev, self.pos
+        fixing, solved, until = self.fixing, self.solved, self.until
         res = list(self.const)
         a = [0] * n  # a[i]: value of the variable at plan position i, 0 while unset
         # residual -> value for each pivot: residual + c * v = 0
-        lookup = [p and (p[0], {-p[1] * w: w for w in values}) for p in self.pivot]
+        lookup = [f and f[3] and (f[0], {-f[3] * w: w for w in values}) for f in fixing]
         # aheads[i]: when a pivot fixes the variable after i in plan order
         # and i enters its equation through one power i^x, (the equation,
         # its table, the power's place in feeds[i], the table's least and
         # greatest key, the least and greatest value to the power x, and |c|)
         aheads = [None] * n
         for i in range(n - 1):
-            p = self.pivot[i + 1]
+            p = lookup[i + 1]
             into = [(f, x) for f, (s, _, x) in enumerate(feeds[i]) if p and s == p[0]]
             if len(into) == 1:
                 [(f, x)] = into
-                low, high = sorted((-p[1] * values[0], -p[1] * values[-1]))
-                aheads[i] = (*lookup[i + 1], f, low, high, values[0] ** x, values[-1] ** x, abs(p[1]))
-        # the equations closing at i that a solved value must be checked
-        # against: a value from the lookup table satisfies the pivot's
-        solved = [[(e, own) for e, own in closes[i] if not p or e != p[0]] for i, p in enumerate(self.pivot)]
+                c = fixing[i + 1][3]
+                low, high = sorted((-c * values[0], -c * values[-1]))
+                aheads[i] = (*lookup[i + 1], f, low, high, values[0] ** x, values[-1] ** x, abs(c))
         parts = {}  # modulus m -> {residue: the values in that class mod m}
 
         def forced(i):
-            # the value an equation fixes for i, None when it is not in the
-            # class, or _ENUMERATE
+            # the value the fixing equation of i gives, None when it is not
+            # in the class
             if lookup[i]:
                 e, table = lookup[i]
                 return table.get(res[e])
-            for e, own in closes[i]:
-                r = res[e]
-                ks = [(res[t], x) for t, x in own]
-                low, high = min(ks)[0], max(ks)[0]
-                if low < 0 < high or low == high == 0:
-                    continue  # mixed signs, or no term in i left
-                if ks == [(low, 1)]:
-                    q, rem = divmod(-r, low)
-                    return q if not rem and q in value_set else None
-                if high <= 0:
-                    r, ks = -r, [(-k, x) for k, x in ks]
-                # r + sum k * v^x increases with v: bisect for its zero
-                lo, hi = 0, len(values)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    v = values[mid]
-                    s = r
-                    for k, x in ks:
-                        s += k * v**x
-                    if s < 0:
-                        lo = mid + 1
-                    elif s:
-                        hi = mid
-                    else:
-                        return v
-                return None
-            return _ENUMERATE
+            e, own, up, _ = fixing[i]
+            r, ks = res[e], [(res[t], x) for t, x in own]
+            # r + sum k * v^x is monotone in v, increasing when up: bisect for its zero
+            lo, hi = 0, len(values)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                v = values[mid]
+                s = r
+                for k, x in ks:
+                    s += k * v**x
+                if not s:
+                    return v
+                if (s < 0) == up:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return None
 
         def place(i, v):
             # set i to v if its class order, distinctness and the equations
@@ -309,13 +304,10 @@ class _Plan:
             a[i] = 0
 
         def dfs(i):
-            w = forced(i)
-            if w is None:
-                return
-            # the earlier variables are set, so each power of i has a known
-            # coefficient k
+            # i is the root or a position no equation fixes; the earlier
+            # variables are set, so each power of i has a known coefficient k
             fed = [(s, res[t], x) for s, t, x in feeds[i]]
-            checks = [(e, [(res[t], x) for t, x in own]) for e, own in closes[i]]
+            checks = [(e, [(res[t], x) for t, x in own]) for e, own in solved[i]]
             # when a pivot fixes the next variable and v enters its equation
             # through one power, a miss there rejects v before it is placed
             ahead = aheads[i] is not None
@@ -323,8 +315,9 @@ class _Plan:
                 ae, atable, f, low, high, bottom, top, c = aheads[i]
                 _, ak, ax = fed[f]
             lo = a[prev[i]]
-            if w is not _ENUMERATE:
-                cands, spend = ((w,) if w >= lo else ()), None
+            if fixing[i]:  # the root
+                w = forced(i)
+                cands, spend = ((w,) if w else ()), None
             else:
                 pool, hi, spend = values, None, nodes.spend
                 if ahead and ak:
@@ -374,17 +367,16 @@ class _Plan:
                 for s, k, x in fed:
                     res[s] += k * v**x
                 # the variables after i that equations fix, inline
-                j = i + 1
-                while j < n:
+                j, end = i + 1, until[i]
+                while j < end:
                     w = forced(j)
-                    if w is _ENUMERATE or w is None or not place(j, w):
+                    if w is None or not place(j, w):
                         break
                     j += 1
-                if j == n:
-                    if not (self.nontrivial and len(set(a)) == 1):
-                        yield a[:] if pos is None else [a[p] for p in pos]
-                elif w is _ENUMERATE:
+                if j == end < n:  # every variable up to the next enumerated one is placed
                     yield from dfs(j)
+                elif j == n and not (self.nontrivial and len(set(a)) == 1):
+                    yield a[:] if pos is None else [a[p] for p in pos]
                 while j > i + 1:
                     j -= 1
                     unplace(j)
@@ -398,18 +390,22 @@ class _Plan:
             yield from dfs(0)
 
 
-def _plan_order(eqs, n):
+def _signs(terms):
+    """Per variable of an equation given as integer terms, the sign its
+    terms share, 1 or -1, or 0 when they have both: where it is not 0, the
+    equation fixes the variable once the others are set (see `_Plan`)."""
+    sign = {}
+    for c, m in terms:
+        s = 1 if c > 0 else -1
+        for i, _ in m:
+            sign[i] = s if sign.get(i, s) == s else 0
+    return sign
+
+
+def _plan_order(signs, n):
     """The plan order of `_Plan` for variables 0..n-1: each in declaration
     order, followed by the variables that its placing lets an equation fix
-    for certain.  `eqs` holds each equation's (constant, terms)."""
-    # per equation: each variable's signs among the terms it is in
-    signs = []
-    for _, terms in eqs:
-        s = {}
-        for c, m in terms:
-            for i, _ in m:
-                s.setdefault(i, set()).add(c > 0)
-        signs.append(s)
+    for certain.  `signs` holds `_signs` of each equation."""
     order, placed = [], [False] * n
     for i in range(n):
         w = None if placed[i] else i
@@ -418,7 +414,7 @@ def _plan_order(eqs, n):
             placed[w] = True
             ready = [
                 v for s in signs for v in s
-                if not placed[v] and len(s[v]) == 1 and all(placed[u] or u == v for u in s)
+                if not placed[v] and s[v] and all(placed[u] or u == v for u in s)
             ]
             w = min(ready, default=None)
     return order

@@ -163,7 +163,7 @@ def _poly_terms(p: Poly, var: str):
     return [(c, Monomial({var: d})) for d, c in p.coeffs.items()]
 
 
-def build_nonlinear_rado(A: Matrix, polys, name: str = None) -> EquationSystem:
+def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
     """System over x_1..x_{n-1}, y_1..y_m, z with row i reading
     sum_j a_{i,j} x_j + a_{i,n} y_i + P_i(z) = 0."""
     m, n = A.m, A.n
@@ -181,24 +181,22 @@ def build_nonlinear_rado(A: Matrix, polys, name: str = None) -> EquationSystem:
         terms.extend(_poly_terms(polys[i], "z"))
         eqs.append(Equation(terms))
     return EquationSystem(
-        name=name or "nonlinear-rado",
+        name="nonlinear-rado",
         variables=tuple(xs + ys + ["z"]),
         equations=tuple(eqs),
         status="regular-by-paper",
     )
 
 
-def single_equation(coeffs, name: str = None, distinctness: str = "allow-repeats") -> EquationSystem:
+def single_equation(coeffs, distinctness: str = "allow-repeats") -> EquationSystem:
     """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk."""
     coeffs = [norm_scalar(c) for c in coeffs]
     if len(coeffs) < 2 or any(c == 0 for c in coeffs):
         raise ValueError("need >= 2 nonzero coefficients")
     xs = [f"v{i}" for i in range(1, len(coeffs) + 1)]
     eq = Equation([_linear_term(c, v) for c, v in zip(coeffs, xs)])
-    label = name or "equation(" + ",".join(str(c) for c in coeffs) + ")"
-    return EquationSystem(
-        name=label, variables=tuple(xs), equations=(eq,), distinctness=distinctness
-    )
+    label = "equation(" + ",".join(str(c) for c in coeffs) + ")"
+    return EquationSystem(name=label, variables=tuple(xs), equations=(eq,), distinctness=distinctness)
 
 
 def schur_system(distinctness: str = "allow-repeats") -> EquationSystem:
@@ -559,8 +557,11 @@ def _json_key(obj: dict, key: str, where: str):
 
 def system_from_json(data) -> EquationSystem:
     """The system that parsed JSON `data` describes; a ValueError names the
-    first field of the wrong type or missing key, and where it is."""
+    first field of the wrong type or missing key, and where it is.  A
+    `status` key is refused: a system's regularity is not taken on trust."""
     _json_field(data, dict, "the system")
+    if "status" in data:
+        raise ValueError("the system: key 'status' is refused, since a label in a file cannot be checked")
     variables = _json_field(_json_key(data, "variables", "the system"), list, "variables")
     if not all(isinstance(v, str) for v in variables):
         raise ValueError("variables must be a JSON array of strings")
@@ -579,5 +580,4 @@ def system_from_json(data) -> EquationSystem:
         variables=tuple(variables),
         equations=tuple(eqs),
         distinctness=data.get("distinctness", "allow-repeats"),
-        status=data.get("status", "unknown"),
     )

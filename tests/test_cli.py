@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line front end: exit codes, human output,
 and the JSON run reports."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from radolab.cli import MAX_RANGE, main
+from radolab.cli import MAX_RANGE, _apply_distinct, main
 from radolab.colorings import poly_vdw_witness, random_coloring
 from radolab.polyring import poly_parse
 from radolab.radomat import MAX_COLS
+from radolab.systems import schur_system
 
 
 @pytest.fixture
@@ -205,6 +208,15 @@ def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
             },
             "equations[0].terms[1]: missing key 'coeff'",
         ),
+        (
+            {
+                "name": "s",
+                "variables": ["x", "y", "z"],
+                "equations": [{"terms": [{"coeff": c, "monomial": {v: 1}} for c, v in ((1, "x"), (1, "y"), (-3, "z"))]}],
+                "status": "regular-by-paper",
+            },
+            "the system: key 'status' is refused, since a label in a file cannot be checked",
+        ),
     ],
     ids=[
         "top-level-array",
@@ -217,6 +229,7 @@ def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
         "no-equations",
         "no-terms",
         "no-coeff",
+        "status",
     ],
 )
 def test_malformed_system_json_is_named(capsys, tmp_path, system, message):
@@ -225,6 +238,20 @@ def test_malformed_system_json_is_named(capsys, tmp_path, system, message):
     code, out, err = run(capsys, ["solve", str(path), "--range", "10"])
     assert (code, out) == (2, "")
     assert err == f"error: cannot read system from {path}: {message}\n"
+
+
+def test_distinct_keeps_a_status_only_where_it_transfers(capsys):
+    # schur is regular with repeats allowed, which says nothing of the
+    # narrower policies: x = y is regular with repeats and has no solution
+    # in distinct values
+    argv = ["solve", "schur", "--coloring", "parity", "--range", "20", "--distinct"]
+    for policy, status in (("distinct", "unknown"), ("nontrivial", "unknown"), ("repeats", "regular-by-paper")):
+        code, out, _ = run(capsys, argv + [policy])
+        assert (code, out.split()[-1]) == (0, f"[status={status}]"), policy
+    # "not regular" carries over to the narrower policies only
+    sys = dataclasses.replace(schur_system(distinctness="nontrivial"), status="not-regular")
+    for policy, status in (("distinct", "not-regular"), ("nontrivial", "not-regular"), ("repeats", "unknown")):
+        assert _apply_distinct(sys, argparse.Namespace(distinct=policy)).status == status, policy
 
 
 def test_solve_concluding_1_keeps_status_label(capsys):

@@ -145,10 +145,9 @@ def test_witness_validator_rejects_garbage():
 
 def test_expand_matrix_examples():
     B = Matrix([[1, 2, -3], [2, -1, -1]])
-    e = expand_matrix(B)
-    assert e.expanded == Matrix([[1, 2, -3, 0], [2, -1, 0, -1]])
-    assert expand_matrix(Matrix([[1, 1, -1]])).expanded == Matrix([[1, 1, -1]])
-    assert expand_matrix(Matrix([[1, 0], [0, 1]])).expanded == Matrix([[1, 0, 0], [0, 0, 1]])
+    assert expand_matrix(B) == Matrix([[1, 2, -3, 0], [2, -1, 0, -1]])
+    assert expand_matrix(Matrix([[1, 1, -1]])) == Matrix([[1, 1, -1]])
+    assert expand_matrix(Matrix([[1, 0], [0, 1]])) == Matrix([[1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         expand_matrix(Matrix([[1], [2]]))
 
@@ -158,7 +157,7 @@ def test_expand_matrix_prescribed_positions():
     for _ in range(50):
         m, n = rng.randint(1, 4), rng.randint(2, 5)
         A = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
-        E = expand_matrix(A).expanded
+        E = expand_matrix(A)
         assert (E.m, E.n) == (m, n - 1 + m)
         for i in range(m):
             assert E.rows[i][: n - 1] == A.rows[i][: n - 1]

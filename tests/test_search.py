@@ -30,6 +30,7 @@ from radolab.systems import (
     EquationSystem,
     Monomial,
     ap_times_power,
+    ap_times_product,
     build_nonlinear_rado,
     eval_equation,
     mult_schur_system,
@@ -244,12 +245,13 @@ def _brute_force_suite():
         _system("xyz", _eq((1, x), (-1, {"y": 1, "z": 2}))),
         _system("xyz", _eq((1, x), (1, y), (-1, {"z": 2}), (-1, z))),
         _system("xyz", _eq((1, x), (2, y), (1, {}), (-1, {"z": 3}), (-1, z))),
-        # (x - y) z^2 + z = 6 is monotone in z only when x >= y
-        _system("xyz", _eq((1, {"x": 1, "z": 2}), (-1, {"y": 1, "z": 2}), (1, z), (-6, {}))),
         # a mixed-sign closing, 2z^2 - z, whose z is still enumerated
         _system("xyz", _eq((1, x), (1, y), (-2, {"z": 2}), (1, z))),
     ]
     suite += [sys for sys, _ in _plan_order_cases()]
+    # x1 + x2 + x3 = y1 * z1: z1 is fixed by a closing linear in z1 with the
+    # coefficient y1
+    suite.append(ap_times_product(1, 1, 3))
     for _ in range(8):
         suite.append(single_equation([coeff() for _ in range(rng.randint(2, 4))]))
         names = ("a", "b", "c", "d")
@@ -265,47 +267,65 @@ def _brute_force_suite():
 
 def _plan_order_cases():
     """Systems whose plan order hoists a variable, or must not, each with its
-    plan order."""
+    plan order; a variable that an equation fixes is marked with the rule,
+    :pivot (a lookup table) or :bisect, and the others are enumerated."""
     x, y, z, w, u, p, q = ({v: 1} for v in "xyzwupq")
     crit8 = build_nonlinear_rado(Matrix([[1, 2, -3], [2, -1, -1]]), [poly_parse("z^2 + z"), poly_parse("z^3")])
     return [
         # z^2 + z fixes z once y1 is set, and then the pivot -y2 fixes y2
-        (crit8, "x1 x2 y1 z y2"),
-        # y1 * z^2 fixes z, and z^2 * y2 fixes y2
-        (ap_times_power(2, 2, 3), "x1 x2 x3 y1 z y2"),
+        (crit8, "x1 x2 y1 z:bisect y2:pivot"),
+        # y1 * z^2 fixes z, and z^2 * y2 fixes y2: linear in y2, but its
+        # coefficient is not a constant
+        (ap_times_power(2, 2, 3), "x1 x2 x3 y1 z:bisect y2:bisect"),
         # the hoisted pivot 4z feeds the key-span cut and the residue step
         # of y, which enters as 2y; u, mixed in u^2 - u, keeps its turn
-        (_system("xyuz", _eq((1, x), (2, y), (1, {}), (-4, z)), _eq((1, {"u": 2}), (-1, u), (-1, z))), "x y z u"),
+        (_system("xyuz", _eq((1, x), (2, y), (1, {}), (-4, z)), _eq((1, {"u": 2}), (-1, u), (-1, z))), "x y z:pivot u"),
         # not hoisted: 2z^2 - z = x has mixed signs, so z waits for y and
         # its pivot in y + z = x + 3
-        (_system("xyz", _eq((1, x), (-2, {"z": 2}), (1, z)), _eq((1, y), (1, z), (-1, x), (-3, {}))), "x y z"),
+        (_system("xyz", _eq((1, x), (-2, {"z": 2}), (1, z)), _eq((1, y), (1, z), (-1, x), (-3, {}))), "x y z:pivot"),
         # not hoisted: x * (z - 1) * (z - 4) = 0 has mixed signs and two
         # roots, so trying z before y would break the lexicographic order
         (
             _system("xyz", _eq((1, {"x": 1, "z": 2}), (-5, {"x": 1, "z": 1}), (4, x)), _eq((1, y), (1, z), (-1, x), (-5, {}))),
-            "x y z",
+            "x y z:pivot",
         ),
         # not hoisted: the coefficient x - y of z can vanish
         (
             _system("xywz", _eq((1, {"x": 1, "z": 1}), (-1, {"y": 1, "z": 1}), (-2, {})), _eq((1, w), (1, z), (-1, x), (-1, y))),
-            "x y w z",
+            "x y w z:pivot",
         ),
+        # (x - y) z^2 + z = 6 is monotone in z where x >= y, but its terms
+        # in z have both signs, so z fixes nothing and is enumerated
+        (_system("xyz", _eq((1, {"x": 1, "z": 2}), (-1, {"y": 1, "z": 2}), (1, z), (-6, {}))), "x y z"),
         # interchangeable p and q (2x = p + 1, 2x = q + 1) are hoisted
         # together, in declaration order
         (
             _system("xypq", _eq((2, x), (-1, p), (-1, {})), _eq((2, x), (-1, q), (-1, {})), _eq((1, y), (-1, p), (-1, q))),
-            "x p q y",
+            "x p:pivot q:pivot y:pivot",
         ),
         # a hoisted q placed after its partner p: p <= q is checked there
-        (_system("pxyq", _eq((1, p), (1, q), (-2, x)), _eq((1, {"y": 2}), (-1, y), (-1, x))), "p x q y"),
+        (_system("pxyq", _eq((1, p), (1, q), (-2, x)), _eq((1, {"y": 2}), (-1, y), (-1, x))), "p x q:pivot y"),
+        # the first variable fixed by its own equation, by bisection
+        # (z^2 + z = 6) and by a pivot (2w = 6)
+        (_system("zxy", _eq((1, {"z": 2}), (1, z), (-6, {})), _eq((1, x), (1, y), (-1, z))), "z:bisect x y:pivot"),
+        (_system("wxy", _eq((2, w), (-6, {})), _eq((1, x), (-1, y), (1, w))), "w:pivot x y:pivot"),
     ]
 
 
 def test_plan_order_hoists_only_certain_fixes():
-    for sys, order in _plan_order_cases():
+    for sys, expect in _plan_order_cases():
         plan = _Plan(sys)
         pos = plan.pos or range(len(sys.variables))
-        assert " ".join(sorted(sys.variables, key=lambda v: pos[sys.variables.index(v)])) == order, sys
+        order = sorted(sys.variables, key=lambda v: pos[sys.variables.index(v)])
+        rules = [f and (":pivot" if f[3] else ":bisect") or "" for f in plan.fixing]
+        assert " ".join(v + rule for v, rule in zip(order, rules)) == expect, sys
+        # every closing equation but the fixing one is checked
+        for f, closes, solved in zip(plan.fixing, plan.closes, plan.solved):
+            assert [e for e, _ in solved] == [e for e, _ in closes if not f or e != f[0]], sys
+        # the fixed variables after each position are placed inline, up to
+        # the next enumerated one
+        enumerated = [k for k, rule in enumerate(rules) if not rule] + [len(rules)]
+        assert plan.until == [min(k for k in enumerated if k > i) for i in range(len(rules))], sys
     # one equation hoists nothing
     for sys in (schur_system(), single_equation([1, 1, 1, -5]), mult_schur_system()):
         assert _Plan(sys).pos is None
@@ -327,6 +347,17 @@ def test_plan_order_node_counts():
         assert (nodes.count, rec.assignment, rec.color) == (spent, assignment, 0)
         with pytest.raises(BudgetExhausted):
             find_mono_solution(sys, c, _budget(c.N, nodes=spent - 1))
+
+
+def test_mixed_signs_for_some_values_only_enumerate():
+    # z of (x - y) z^2 + z = 6 is tried value by value even where x > y
+    # makes the equation monotone in z: every (x, y, z) costs a node
+    sys = _system("xyz", _eq((1, {"x": 1, "z": 2}), (-1, {"y": 1, "z": 2}), (1, {"z": 1}), (-6, {})))
+    nodes = _Nodes(None)
+    got = list(_Plan(sys).solutions(list(range(1, 8)), nodes))
+    assert nodes.count == 7 + 7**2 + 7**3
+    assert got == [list(s.values()) for s in _brute_force_solutions(sys, 7)]
+    assert len(got) == 15
 
 
 def test_interchangeable_variables_are_detected():

@@ -140,7 +140,7 @@ def test_nonlinear_rado_linear_part_is_expanded_matrix():
             continue
         polys = [Poly({rng.randint(1, 3): rng.randint(1, 3)}) for _ in range(m)]
         sys = build_nonlinear_rado(A, polys)
-        E = expand_matrix(A).expanded
+        E = expand_matrix(A)
         linear_vars = sys.variables[:-1]  # x's then y's
         for i, eq in enumerate(sys.equations):
             assert _linear_row(eq, linear_vars) == list(E.rows[i])
@@ -399,12 +399,10 @@ def test_json_round_trip():
             _json_terms(("2", {"x1": 1}), ("-1", {"x2": 1}), ("-1", {"y2": 1}), ("1", {"z": 3})),
         ],
         "distinctness": "allow-repeats",
-        "status": "regular-by-paper",
     }
     back = system_from_json(data)
     assert back.variables == sys.variables
     assert back.equations == sys.equations
-    assert back.status == sys.status
     assert back.distinctness == sys.distinctness
 
 
