@@ -231,15 +231,8 @@ def poly_vdw_witness(c: Coloring, polys):
             color = c.colors[a - 1]
             ok = True
             for p in polys:
-                v = a + p.eval(d)
-                if isinstance(v, int):
-                    iv = v
-                else:
-                    if v.denominator != 1:
-                        ok = False
-                        break
-                    iv = int(v)
-                if iv < 1 or iv > N or c.colors[iv - 1] != color:
+                v = a + p.eval(d)  # an int exactly when a + P(d) is integral
+                if not isinstance(v, int) or v < 1 or v > N or c.colors[v - 1] != color:
                     ok = False
                     break
             if ok:

@@ -38,8 +38,6 @@ class SolutionRecord:
 
 @dataclass(frozen=True)
 class RadoNumberResult:
-    system: str
-    r: int
     value: int = None
     avoider: Coloring = None
     nodes: int = 0
@@ -646,8 +644,6 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
     avoider = Coloring(N=len(best), r=r, colors=best) if best else None
     value = None if exhausted or len(best) == N else len(best) + 1
     return RadoNumberResult(
-        system=sys.name,
-        r=r,
         value=value,
         avoider=avoider,
         nodes=nodes.count,

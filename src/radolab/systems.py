@@ -3,6 +3,7 @@ exact checkers for the explicit proof constructions."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,12 +156,42 @@ def integrality_check(assignment: dict) -> bool:
 # constructors
 
 
-def _linear_term(c, var):
-    return (c, Monomial({var: 1}))
+@functools.lru_cache(maxsize=1024, typed=True)
+def _monomial(*flat) -> Monomial:
+    """The monomial v_1^e_1 * ... * v_k^e_k of the arguments v_1, ..., v_k,
+    e_1, ..., e_k.  Monomials are immutable, so the cache shares them: the
+    linear ones recur in every row of every system built.  It is typed, so
+    that an exponent 2.0 or True is refused as before, not taken for 2 or 1."""
+    k = len(flat) // 2
+    return Monomial(dict(zip(flat[:k], flat[k:])))
 
 
-def _poly_terms(p: Poly, var: str):
-    return [(c, Monomial({var: d})) for d, c in p.coeffs.items()]
+def _eq(*terms) -> Equation:
+    """The equation sum c * prod v^e = 0 over (c, {v: e}) pairs."""
+    return Equation([(c, _monomial(*m, *m.values())) for c, m in terms])
+
+
+def _poly(p: Poly, var: str, sign=-1):
+    """The terms of sign * P(var)."""
+    return [(sign * c, {var: d}) for d, c in p.coeffs.items()]
+
+
+def _linear(vs, coeffs=None):
+    """The terms of c_1 v_1 + ... + c_k v_k, with every c_j = 1 by default."""
+    return [(c, {v: 1}) for c, v in zip(coeffs or [1] * len(vs), vs)]
+
+
+def _names(prefix: str, k: int):
+    return [f"{prefix}{i}" for i in range(1, k + 1)]
+
+
+def _ap_row(xs, i):
+    """The terms of x_1 + i*x_2 + x_3 + ... + x_n."""
+    return _linear(xs, [1, i] + [1] * (len(xs) - 2))
+
+
+def _family(name, variables, equations, status) -> EquationSystem:
+    return EquationSystem(name=name, variables=tuple(variables), equations=tuple(equations), status=status)
 
 
 def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
@@ -172,53 +203,27 @@ def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
     polys = tuple(polys)
     if len(polys) != m:
         raise ValueError(f"need {m} polynomials, got {len(polys)}")
-    xs = [f"x{j}" for j in range(1, n)]
-    ys = [f"y{i}" for i in range(1, m + 1)]
-    eqs = []
-    for i in range(m):
-        terms = [_linear_term(A.rows[i][j], xs[j]) for j in range(n - 1)]
-        terms.append(_linear_term(A.rows[i][n - 1], ys[i]))
-        terms.extend(_poly_terms(polys[i], "z"))
-        eqs.append(Equation(terms))
-    return EquationSystem(
-        name="nonlinear-rado",
-        variables=tuple(xs + ys + ["z"]),
-        equations=tuple(eqs),
-        status="regular-by-paper",
-    )
+    xs, ys = _names("x", n - 1), _names("y", m)
+    eqs = [_eq(*_linear(xs + [y], row), *_poly(p, "z", 1)) for row, y, p in zip(A.rows, ys, polys)]
+    return _family("nonlinear-rado", xs + ys + ["z"], eqs, "regular-by-paper")
 
 
-def single_equation(coeffs, distinctness: str = "allow-repeats") -> EquationSystem:
+def single_equation(coeffs) -> EquationSystem:
     """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk."""
     coeffs = [norm_scalar(c) for c in coeffs]
     if len(coeffs) < 2 or any(c == 0 for c in coeffs):
         raise ValueError("need >= 2 nonzero coefficients")
-    xs = [f"v{i}" for i in range(1, len(coeffs) + 1)]
-    eq = Equation([_linear_term(c, v) for c, v in zip(coeffs, xs)])
+    vs = _names("v", len(coeffs))
     label = "equation(" + ",".join(str(c) for c in coeffs) + ")"
-    return EquationSystem(name=label, variables=tuple(xs), equations=(eq,), distinctness=distinctness)
+    return _family(label, vs, [_eq(*_linear(vs, coeffs))], "unknown")
 
 
-def schur_system(distinctness: str = "allow-repeats") -> EquationSystem:
-    eq = Equation([_linear_term(1, "x"), _linear_term(1, "y"), _linear_term(-1, "z")])
-    return EquationSystem(
-        name="schur",
-        variables=("x", "y", "z"),
-        equations=(eq,),
-        distinctness=distinctness,
-        status="regular-by-paper",
-    )
+def schur_system() -> EquationSystem:
+    return _family("schur", "xyz", [_eq(*_linear("xy"), (-1, {"z": 1}))], "regular-by-paper")
 
 
-def mult_schur_system(distinctness: str = "allow-repeats") -> EquationSystem:
-    eq = Equation([(1, Monomial({"x": 1, "y": 1})), (-1, Monomial({"z": 1}))])
-    return EquationSystem(
-        name="mult-schur",
-        variables=("x", "y", "z"),
-        equations=(eq,),
-        distinctness=distinctness,
-        status="regular-by-paper",
-    )
+def mult_schur_system() -> EquationSystem:
+    return _family("mult-schur", "xyz", [_eq((1, {"x": 1, "y": 1}), (-1, {"z": 1}))], "regular-by-paper")
 
 
 def poly_sum_product(n: int, m: int, polys) -> EquationSystem:
@@ -226,23 +231,12 @@ def poly_sum_product(n: int, m: int, polys) -> EquationSystem:
     polys = tuple(polys)
     if n < 1 or m < 1 or not polys:
         raise ValueError("need n >= 1, m >= 1 and at least one polynomial")
-    r = len(polys)
-    xs = [f"x{j}" for j in range(1, n + 1)]
-    ys = [f"y{k}" for k in range(1, m + 2)]
-    zs = [f"z{i}" for i in range(1, r + 1)]
-    yprod = {f"y{k}": 1 for k in range(1, m + 1)}
-    eqs = []
-    for i in range(r):
-        terms = [_linear_term(1, x) for x in xs]
-        terms.append((-1, Monomial({**yprod, zs[i]: 1})))
-        terms.extend([(-c, mono) for c, mono in _poly_terms(polys[i], ys[m])])
-        eqs.append(Equation(terms))
-    return EquationSystem(
-        name=f"poly-sum-product(n={n},m={m},r={r})",
-        variables=tuple(xs + ys + zs),
-        equations=tuple(eqs),
-        status="regular-by-paper",
-    )
+    xs, ys, zs = _names("x", n), _names("y", m + 1), _names("z", len(polys))
+    eqs = [
+        _eq(*_linear(xs), (-1, dict.fromkeys(ys[:m] + [z], 1)), *_poly(p, ys[m]))
+        for z, p in zip(zs, polys)
+    ]
+    return _family(f"poly-sum-product(n={n},m={m},r={len(polys)})", xs + ys + zs, eqs, "regular-by-paper")
 
 
 def sums_with_poly(n: int, polys) -> EquationSystem:
@@ -251,21 +245,9 @@ def sums_with_poly(n: int, polys) -> EquationSystem:
     polys = tuple(polys)
     if n < 1 or not polys:
         raise ValueError("need n >= 1 and at least one polynomial")
-    r = len(polys)
-    xs = [f"x{j}" for j in range(1, n + 1)]
-    zs = [f"z{i}" for i in range(1, r + 1)]
-    eqs = []
-    for i in range(r):
-        terms = [_linear_term(1, x) for x in xs]
-        terms.append(_linear_term(-1, zs[i]))
-        terms.extend([(-c, mono) for c, mono in _poly_terms(polys[i], "z")])
-        eqs.append(Equation(terms))
-    return EquationSystem(
-        name=f"sums-with-poly(n={n},r={r})",
-        variables=tuple(xs + zs + ["z"]),
-        equations=tuple(eqs),
-        status="regular-by-paper",
-    )
+    xs, zs = _names("x", n), _names("z", len(polys))
+    eqs = [_eq(*_linear(xs), (-1, {z: 1}), *_poly(p, "z")) for z, p in zip(zs, polys)]
+    return _family(f"sums-with-poly(n={n},r={len(polys)})", xs + zs + ["z"], eqs, "regular-by-paper")
 
 
 def power_product(polys) -> EquationSystem:
@@ -273,20 +255,12 @@ def power_product(polys) -> EquationSystem:
     polys = tuple(polys)
     if not polys:
         raise ValueError("need at least one polynomial")
-    n = len(polys)
-    zs = [f"z{i}" for i in range(1, n + 1)]
-    eqs = []
-    for i in range(1, n + 1):
-        terms = [(1, Monomial({"x": 1, "y": i}))]
-        terms.append(_linear_term(-1, zs[i - 1]))
-        terms.extend([(-c, mono) for c, mono in _poly_terms(polys[i - 1], "z")])
-        eqs.append(Equation(terms))
-    return EquationSystem(
-        name=f"power-product(n={n})",
-        variables=tuple(["x", "y"] + zs + ["z"]),
-        equations=tuple(eqs),
-        status="regular-by-paper",
-    )
+    zs = _names("z", len(polys))
+    eqs = [
+        _eq((1, {"x": 1, "y": i}), (-1, {z: 1}), *_poly(p, "z"))
+        for i, (z, p) in enumerate(zip(zs, polys), 1)
+    ]
+    return _family(f"power-product(n={len(polys)})", ["x", "y"] + zs + ["z"], eqs, "regular-by-paper")
 
 
 def ap_times_product(l: int, m: int, n: int) -> EquationSystem:
@@ -295,22 +269,9 @@ def ap_times_product(l: int, m: int, n: int) -> EquationSystem:
         raise ValueError("family requires n > 2")
     if l < 1 or m < 1:
         raise ValueError("need l >= 1, m >= 1")
-    xs = [f"x{j}" for j in range(1, n + 1)]
-    ys = [f"y{k}" for k in range(1, m + 1)]
-    zs = [f"z{i}" for i in range(1, l + 1)]
-    yprod = {y: 1 for y in ys}
-    eqs = []
-    for i in range(1, l + 1):
-        terms = [_linear_term(1, xs[0]), _linear_term(i, xs[1])]
-        terms += [_linear_term(1, x) for x in xs[2:]]
-        terms.append((-1, Monomial({**yprod, zs[i - 1]: 1})))
-        eqs.append(Equation(terms))
-    return EquationSystem(
-        name=f"ap-times-product(l={l},m={m},n={n})",
-        variables=tuple(xs + ys + zs),
-        equations=tuple(eqs),
-        status="regular-by-paper",
-    )
+    xs, ys, zs = _names("x", n), _names("y", m), _names("z", l)
+    eqs = [_eq(*_ap_row(xs, i), (-1, dict.fromkeys(ys + [z], 1))) for i, z in enumerate(zs, 1)]
+    return _family(f"ap-times-product(l={l},m={m},n={n})", xs + ys + zs, eqs, "regular-by-paper")
 
 
 def ap_times_power(l: int, m: int, n: int) -> EquationSystem:
@@ -321,20 +282,9 @@ def ap_times_power(l: int, m: int, n: int) -> EquationSystem:
         raise ValueError("family requires m > 1")
     if l < 1:
         raise ValueError("need l >= 1")
-    xs = [f"x{j}" for j in range(1, n + 1)]
-    ys = [f"y{i}" for i in range(1, l + 1)]
-    eqs = []
-    for i in range(1, l + 1):
-        terms = [_linear_term(1, xs[0]), _linear_term(i, xs[1])]
-        terms += [_linear_term(1, x) for x in xs[2:]]
-        terms.append((-1, Monomial({ys[i - 1]: 1, "z": m})))
-        eqs.append(Equation(terms))
-    return EquationSystem(
-        name=f"ap-times-power(l={l},m={m},n={n})",
-        variables=tuple(xs + ys + ["z"]),
-        equations=tuple(eqs),
-        status="regular-by-paper",
-    )
+    xs, ys = _names("x", n), _names("y", l)
+    eqs = [_eq(*_ap_row(xs, i), (-1, {y: 1, "z": m})) for i, y in enumerate(ys, 1)]
+    return _family(f"ap-times-power(l={l},m={m},n={n})", xs + ys + ["z"], eqs, "regular-by-paper")
 
 
 def rational_function(n: int, p: Poly, q: Poly) -> EquationSystem:
@@ -343,102 +293,63 @@ def rational_function(n: int, p: Poly, q: Poly) -> EquationSystem:
     search-time precondition, not part of the equation."""
     if n < 1:
         raise ValueError("need n >= 1")
-    terms = [_linear_term(1, "x")]
-    terms += _poly_terms(p, "d")
-    terms.append((-1, Monomial({"z": n, "y": 1})))
-    terms += [(-c, Monomial({**dict(mono.exps), "z": n})) for c, mono in _poly_terms(q, "d")]
-    return EquationSystem(
-        name=f"rational-function(n={n})",
-        variables=("x", "y", "z", "d"),
-        equations=(Equation(terms),),
-        status="regular-by-paper",
-    )
+    z_times_q = [(c, {**mono, "z": n}) for c, mono in _poly(q, "d")]
+    eq = _eq((1, {"x": 1}), *_poly(p, "d", 1), (-1, {"z": n, "y": 1}), *z_times_q)
+    return _family(f"rational-function(n={n})", "xyzd", [eq], "regular-by-paper")
+
+
+# concluding system -> (variables, the terms of each equation but its tail
+# -P_i(t))
+_CONCLUDING = {
+    1: ("xyzwut", [[(1, {"x": 1}), (1, {"y": k}), (-1, {v: 1})] for k, v in ((1, "z"), (2, "w"), (3, "u"))]),
+    2: ("xyzt", [[*_linear("xy"), (-1, {"z": k})] for k in (2, 3)]),
+    3: (
+        _names("x", 5) + _names("y", 4) + ["t"],
+        [[*_linear(_names("x", 5)[i : i + 3]), (-1, {f"y{i + 1}": 1, f"y{i + 2}": 1})] for i in range(3)],
+    ),
+}
 
 
 def concluding_system(which: int, polys) -> EquationSystem:
     """The three bundled unknown-status systems from the concluding remarks."""
     polys = tuple(polys)
-    if which == 1:
-        if len(polys) != 3:
-            raise ValueError("concluding-1 takes 3 polynomials")
-        eqs = []
-        for i, (lhs_pow, res) in enumerate([(1, "z"), (2, "w"), (3, "u")]):
-            terms = [_linear_term(1, "x"), (1, Monomial({"y": lhs_pow}))]
-            terms.append(_linear_term(-1, res))
-            terms.extend([(-c, m) for c, m in _poly_terms(polys[i], "t")])
-            eqs.append(Equation(terms))
-        return EquationSystem(
-            name="concluding-1",
-            variables=("x", "y", "z", "w", "u", "t"),
-            equations=tuple(eqs),
-            status="unknown",
-        )
-    if which == 2:
-        if len(polys) != 2:
-            raise ValueError("concluding-2 takes 2 polynomials")
-        eqs = []
-        for i, zpow in enumerate([2, 3]):
-            terms = [_linear_term(1, "x"), _linear_term(1, "y")]
-            terms.append((-1, Monomial({"z": zpow})))
-            terms.extend([(-c, m) for c, m in _poly_terms(polys[i], "t")])
-            eqs.append(Equation(terms))
-        return EquationSystem(
-            name="concluding-2",
-            variables=("x", "y", "z", "t"),
-            equations=tuple(eqs),
-            status="unknown",
-        )
-    if which == 3:
-        if len(polys) != 3:
-            raise ValueError("concluding-3 takes 3 polynomials")
-        eqs = []
-        for i in range(3):
-            xs = [f"x{j}" for j in range(i + 1, i + 4)]
-            terms = [_linear_term(1, x) for x in xs]
-            terms.append((-1, Monomial({f"y{i + 1}": 1, f"y{i + 2}": 1})))
-            terms.extend([(-c, m) for c, m in _poly_terms(polys[i], "t")])
-            eqs.append(Equation(terms))
-        return EquationSystem(
-            name="concluding-3",
-            variables=tuple([f"x{j}" for j in range(1, 6)] + [f"y{k}" for k in range(1, 5)] + ["t"]),
-            equations=tuple(eqs),
-            status="unknown",
-        )
-    raise ValueError(f"no concluding system {which}")
+    if which not in _CONCLUDING:
+        raise ValueError(f"no concluding system {which}")
+    variables, heads = _CONCLUDING[which]
+    if len(polys) != len(heads):
+        raise ValueError(f"concluding-{which} takes {len(heads)} polynomials")
+    eqs = [_eq(*head, *_poly(p, "t")) for head, p in zip(heads, polys)]
+    return _family(f"concluding-{which}", variables, eqs, "unknown")
 
 
-# template registry: family name -> (number of leading int params, builder)
+# template registry: family name -> (number of leading integer parameters,
+# number of polynomials, builder); None admits any number
 _TEMPLATES = {
-    "schur": (0, lambda ints, polys: schur_system()),
-    "mult-schur": (0, lambda ints, polys: mult_schur_system()),
-    "equation": (-1, lambda ints, polys: single_equation(ints)),
-    "poly-sum-product": (2, lambda ints, polys: poly_sum_product(ints[0], ints[1], polys)),
-    "sums-with-poly": (1, lambda ints, polys: sums_with_poly(ints[0], polys)),
-    "power-product": (0, lambda ints, polys: power_product(polys)),
-    "ap-times-product": (3, lambda ints, polys: ap_times_product(*ints)),
-    "ap-times-power": (3, lambda ints, polys: ap_times_power(*ints)),
-    "rational-function": (1, lambda ints, polys: rational_function(ints[0], *_expect(polys, 2))),
-    "concluding-1": (0, lambda ints, polys: concluding_system(1, polys)),
-    "concluding-2": (0, lambda ints, polys: concluding_system(2, polys)),
-    "concluding-3": (0, lambda ints, polys: concluding_system(3, polys)),
+    "schur": (0, 0, lambda ints, polys: schur_system()),
+    "mult-schur": (0, 0, lambda ints, polys: mult_schur_system()),
+    "equation": (None, 0, lambda ints, polys: single_equation(ints)),
+    "poly-sum-product": (2, None, lambda ints, polys: poly_sum_product(*ints, polys)),
+    "sums-with-poly": (1, None, lambda ints, polys: sums_with_poly(*ints, polys)),
+    "power-product": (0, None, lambda ints, polys: power_product(polys)),
+    "ap-times-product": (3, 0, lambda ints, polys: ap_times_product(*ints)),
+    "ap-times-power": (3, 0, lambda ints, polys: ap_times_power(*ints)),
+    "rational-function": (1, 2, lambda ints, polys: rational_function(*ints, *polys)),
+    "concluding-1": (0, 3, lambda ints, polys: concluding_system(1, polys)),
+    "concluding-2": (0, 2, lambda ints, polys: concluding_system(2, polys)),
+    "concluding-3": (0, 3, lambda ints, polys: concluding_system(3, polys)),
 }
-
-
-def _expect(polys, k):
-    if len(polys) != k:
-        raise ValueError(f"expected {k} polynomials, got {len(polys)}")
-    return polys
 
 
 def build_template(family: str, ints=(), polys=()) -> EquationSystem:
     """Build a named family; `ints` are the leading numeric parameters and
-    `polys` the polynomial parameters."""
+    `polys` the polynomial parameters, each as many as the family takes."""
     try:
-        n_ints, builder = _TEMPLATES[family]
+        n_ints, n_polys, builder = _TEMPLATES[family]
     except KeyError:
         raise ValueError(f"unknown template family {family!r}") from None
-    if n_ints >= 0 and len(ints) != n_ints:
-        raise ValueError(f"{family} takes {n_ints} integer parameters, got {len(ints)}")
+    for want, got, kind in ((n_ints, ints, "integer parameters"), (n_polys, polys, "polynomials")):
+        if want is not None and len(got) != want:
+            raise ValueError(f"{family} takes {want} {kind}, got {len(got)}")
     return builder(list(ints), list(polys))
 
 
@@ -454,14 +365,12 @@ def parse_template_spec(text: str) -> EquationSystem:
     family, _, rest = text.partition("(")
     family = family.strip()
     args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
-    n_ints, _ = _TEMPLATES.get(family, (None, None))
-    if n_ints is None:
+    if family not in _TEMPLATES:
         raise ValueError(f"unknown template family {family!r}")
-    if n_ints < 0:  # all-int family
-        return build_template(family, ints=[int(a) for a in args])
-    ints = [int(a) for a in args[:n_ints]]
-    polys = [poly_parse(a) for a in args[n_ints:]]
-    return build_template(family, ints=ints, polys=polys)
+    n_ints = _TEMPLATES[family][0]
+    if n_ints is None:
+        n_ints = len(args)
+    return build_template(family, [int(a) for a in args[:n_ints]], [poly_parse(a) for a in args[n_ints:]])
 
 
 # ---------------------------------------------------------------------------

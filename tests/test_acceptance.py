@@ -7,6 +7,7 @@ of column vectors: both deciders are invariant under column permutation
 only depend on the multiset of columns.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -141,7 +142,7 @@ def test_criterion_3_schur_number():
 def test_criterion_4_vdw_number():
     import time
 
-    sys = single_equation([1, 1, -2], distinctness="nontrivial")
+    sys = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
     t0 = time.perf_counter()
     res = rado_number(sys, 2, SearchBudget(N=10))
     elapsed = time.perf_counter() - t0

@@ -249,9 +249,23 @@ def test_distinct_keeps_a_status_only_where_it_transfers(capsys):
         code, out, _ = run(capsys, argv + [policy])
         assert (code, out.split()[-1]) == (0, f"[status={status}]"), policy
     # "not regular" carries over to the narrower policies only
-    sys = dataclasses.replace(schur_system(distinctness="nontrivial"), status="not-regular")
+    sys = dataclasses.replace(schur_system(), distinctness="nontrivial", status="not-regular")
     for policy, status in (("distinct", "not-regular"), ("nontrivial", "not-regular"), ("repeats", "unknown")):
         assert _apply_distinct(sys, argparse.Namespace(distinct=policy)).status == status, policy
+
+
+@pytest.mark.parametrize(
+    "spec, arity",
+    [
+        ("schur(z)", "schur takes 0 polynomials, got 1"),
+        ("mult-schur(z^2)", "mult-schur takes 0 polynomials, got 1"),
+        ("ap-times-power(2,2,3,z^2)", "ap-times-power takes 0 polynomials, got 1"),
+        ("ap-times-product(1,1,3,z)", "ap-times-product takes 0 polynomials, got 1"),
+    ],
+)
+def test_template_refuses_arguments_its_family_does_not_take(capsys, spec, arity):
+    code, out, err = run(capsys, ["solve", spec, "--coloring", "all-one", "--range", "10"])
+    assert (code, out, err) == (2, "", f"error: bad system spec {spec!r}: {arity}\n")
 
 
 def test_solve_concluding_1_keeps_status_label(capsys):

@@ -4,6 +4,7 @@ avoider coloring."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -332,6 +333,42 @@ def test_poly_vdw_absent_on_tiny_parity():
 def test_poly_vdw_refuses_an_empty_list():
     with pytest.raises(ValueError, match="at least one polynomial"):
         poly_vdw_witness(all_one_coloring(10), [])
+
+
+def _poly_vdw_oracle(c, coeff_lists):
+    """The first (a, d, color) by increasing a + d, then a, with every
+    a + P(d) an integer in [1..N] of a's color; each P given as
+    {degree: coefficient} and evaluated here in Fractions."""
+    N = c.N
+    for s in range(2, 2 * N + 1):
+        for a in range(1, s):
+            d = s - a
+            if a > N or d > N:
+                continue
+            values = [a + sum(Fraction(k) * d**e for e, k in p.items()) for p in coeff_lists]
+            if all(v.denominator == 1 and 1 <= v <= N and c.color_of(int(v)) == c.color_of(a) for v in values):
+                return (a, d, c.color_of(a))
+    return None
+
+
+def test_poly_vdw_fractional_coefficients_match_the_oracle():
+    # (z^2 + z)/2 is an integer for every d; z/2 only for even d
+    cases = [
+        ("1/2z^2 + 1/2z", {2: "1/2", 1: "1/2"}),
+        ("1/2z", {1: "1/2"}),
+    ]
+    rng = random.Random(52)
+    colorings = [Coloring(N=N, r=2, colors=cs) for N in range(1, 7) for cs in itertools.product(range(2), repeat=N)]
+    colorings += [Coloring(N=20, r=3, colors=tuple(rng.randrange(3) for _ in range(20))) for _ in range(20)]
+    for texts in ([cases[0]], [cases[1]], cases):
+        polys = [poly_parse(t) for t, _ in texts]
+        coeffs = [p for _, p in texts]
+        found = 0
+        for c in colorings:
+            got = poly_vdw_witness(c, polys)
+            assert got == _poly_vdw_oracle(c, coeffs), (texts, c.colors)
+            found += got is not None
+        assert 0 < found < len(colorings)
 
 
 def test_poly_vdw_search_order():

@@ -29,6 +29,7 @@ from radolab.systems import (
     Equation,
     EquationSystem,
     Monomial,
+    _eq,
     ap_times_power,
     ap_times_product,
     build_nonlinear_rado,
@@ -149,7 +150,7 @@ def test_node_budget_boundary():
 
 def test_distinctness_flags():
     sys_rep = single_equation([1, 1, -2])  # x + y = 2z
-    sys_non = single_equation([1, 1, -2], distinctness="nontrivial")
+    sys_non = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
     c = all_one_coloring(3)
     rec = find_mono_solution(sys_rep, c, _budget(3))
     assert rec.assignment == {"v1": 1, "v2": 1, "v3": 1}
@@ -185,11 +186,6 @@ def _brute_force_solutions(sys, N):
         if all(eval_equation(eq, assignment) == 0 for eq in sys.equations):
             out.append(assignment)
     return out
-
-
-def _eq(*terms):
-    """An equation from (coefficient, {variable: exponent}) pairs."""
-    return Equation([(c, Monomial(m)) for c, m in terms])
 
 
 def _system(variables, *equations):
@@ -570,7 +566,7 @@ def test_rado_number_attached_avoider_avoids():
 
 
 def test_rado_number_vdw_3ap():
-    sys = single_equation([1, 1, -2], distinctness="nontrivial")
+    sys = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
     res = rado_number(sys, 2, _budget(10))
     assert res.value == 9
 
@@ -678,7 +674,7 @@ def _cnf_satisfied_by(text, coloring):
 
 
 def test_rado_number_value_and_avoider_match_brute_force():
-    ap3 = single_equation([1, 1, -2], distinctness="nontrivial")
+    ap3 = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
     suite = [
         (schur_system(), 3, 5),
         (single_equation([1, 1, -2]), 3, 5),
@@ -686,7 +682,7 @@ def test_rado_number_value_and_avoider_match_brute_force():
         (single_equation([1, 2, -1]), 3, 5),
         # several avoiders of the longest length: the first must be attached
         (ap3, 2, 10),
-        (single_equation([1, 1, -1], distinctness="all-distinct"), 2, 10),
+        (dataclasses.replace(single_equation([1, 1, -1]), distinctness="all-distinct"), 2, 10),
     ]
     for sys, r, N_max in suite:
         expect = _brute_force_rado(sys, r, N_max)
@@ -699,7 +695,7 @@ def test_rado_number_value_and_avoider_match_brute_force():
 
 def test_rado_number_vdw_3_colors_is_27():
     # W(3;3) = 27 (Chvatal 1970)
-    sys = single_equation([1, 1, -2], distinctness="nontrivial")
+    sys = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
     res = rado_number(sys, 3, SearchBudget(N=30, node_limit=500_000))
     assert res.value == 27 and not res.exhausted
     assert res.avoider.N == 26
@@ -709,7 +705,7 @@ def test_rado_number_vdw_3_colors_is_27():
 
 def test_rado_number_weak_schur_3_colors_is_24():
     # WS(3) = 23
-    sys = single_equation([1, 1, -1], distinctness="all-distinct")
+    sys = dataclasses.replace(single_equation([1, 1, -1]), distinctness="all-distinct")
     res = rado_number(sys, 3, SearchBudget(N=30, node_limit=500_000))
     assert res.value == 24 and res.avoider.N == 23
 

@@ -13,6 +13,7 @@ from radolab.systems import (
     Equation,
     EquationSystem,
     Monomial,
+    _TEMPLATES,
     ap_times_power,
     ap_times_product,
     build_nonlinear_rado,
@@ -210,6 +211,17 @@ def test_concluding_systems_status_unknown():
         assert sys.status == "unknown"
     with pytest.raises(ValueError):
         concluding_system(4, [])
+
+
+def test_exponent_checks_do_not_depend_on_earlier_builds():
+    # builders share equal monomials; an exponent equal to an earlier one
+    # but not an int is still refused
+    ap_times_power(1, 2, 3)
+    rational_function(1, poly_parse("z"), poly_parse("z"))
+    with pytest.raises(ValueError):
+        ap_times_power(1, 2.0, 3)
+    with pytest.raises(ValueError):
+        rational_function(True, poly_parse("z"), poly_parse("z"))
 
 
 def test_mult_schur():
@@ -411,3 +423,149 @@ def test_json_fraction_coeffs():
     data = {"name": "t", "variables": ["x", "y"], "equations": [_json_terms(("1/2", {"x": 2}), ("-1", {"y": 1}))]}
     back = system_from_json(data)
     assert back.equations[0] == eq
+
+
+# ---------------------------------------------------------------------------
+# pinned constructions: every family builds exactly these systems
+
+
+_PINS = {
+    "schur": ("schur", ("schur", ("x", "y", "z"), [[("1", "x"), ("1", "y"), ("-1", "z")]], "allow-repeats", "regular-by-paper")),
+    "mult-schur": ("mult-schur", ("mult-schur", ("x", "y", "z"), [[("1", "x*y"), ("-1", "z")]], "allow-repeats", "regular-by-paper")),
+    "equation": (
+        "equation(2,-3,1,-1)",
+        ("equation(2,-3,1,-1)", ("v1", "v2", "v3", "v4"), [[("2", "v1"), ("-3", "v2"), ("1", "v3"), ("-1", "v4")]], "allow-repeats", "unknown"),
+    ),
+    "poly-sum-product": (
+        "poly-sum-product(2,2,z^2+z,3z^3-1/2z)",
+        (
+            "poly-sum-product(n=2,m=2,r=2)",
+            ("x1", "x2", "y1", "y2", "y3", "z1", "z2"),
+            [
+                [("1", "x1"), ("1", "x2"), ("-1", "y1*y2*z1"), ("-1", "y3"), ("-1", "y3^2")],
+                [("1", "x1"), ("1", "x2"), ("-1", "y1*y2*z2"), ("1/2", "y3"), ("-3", "y3^3")],
+            ],
+            "allow-repeats",
+            "regular-by-paper",
+        ),
+    ),
+    "sums-with-poly": (
+        "sums-with-poly(2,z^2,z^3-z)",
+        (
+            "sums-with-poly(n=2,r=2)",
+            ("x1", "x2", "z1", "z2", "z"),
+            [
+                [("1", "x1"), ("1", "x2"), ("-1", "z1"), ("-1", "z^2")],
+                [("1", "x1"), ("1", "x2"), ("-1", "z2"), ("1", "z"), ("-1", "z^3")],
+            ],
+            "allow-repeats",
+            "regular-by-paper",
+        ),
+    ),
+    "power-product": (
+        "power-product(z^2,2z^3+z)",
+        (
+            "power-product(n=2)",
+            ("x", "y", "z1", "z2", "z"),
+            [[("1", "x*y"), ("-1", "z1"), ("-1", "z^2")], [("1", "x*y^2"), ("-1", "z2"), ("-1", "z"), ("-2", "z^3")]],
+            "allow-repeats",
+            "regular-by-paper",
+        ),
+    ),
+    "ap-times-product": (
+        "ap-times-product(2,2,4)",
+        (
+            "ap-times-product(l=2,m=2,n=4)",
+            ("x1", "x2", "x3", "x4", "y1", "y2", "z1", "z2"),
+            [
+                [("1", "x1"), ("1", "x2"), ("1", "x3"), ("1", "x4"), ("-1", "y1*y2*z1")],
+                [("1", "x1"), ("2", "x2"), ("1", "x3"), ("1", "x4"), ("-1", "y1*y2*z2")],
+            ],
+            "allow-repeats",
+            "regular-by-paper",
+        ),
+    ),
+    "ap-times-power": (
+        "ap-times-power(2,3,3)",
+        (
+            "ap-times-power(l=2,m=3,n=3)",
+            ("x1", "x2", "x3", "y1", "y2", "z"),
+            [[("1", "x1"), ("1", "x2"), ("1", "x3"), ("-1", "y1*z^3")], [("1", "x1"), ("2", "x2"), ("1", "x3"), ("-1", "y2*z^3")]],
+            "allow-repeats",
+            "regular-by-paper",
+        ),
+    ),
+    "rational-function": (
+        "rational-function(2,z+1/2z^3,z^2-z)",
+        (
+            "rational-function(n=2)",
+            ("x", "y", "z", "d"),
+            [[("1", "x"), ("1", "d"), ("1/2", "d^3"), ("-1", "y*z^2"), ("1", "d*z^2"), ("-1", "d^2*z^2")]],
+            "allow-repeats",
+            "regular-by-paper",
+        ),
+    ),
+    "concluding-1": (
+        "concluding-1(z,z^2,z^3+z)",
+        (
+            "concluding-1",
+            ("x", "y", "z", "w", "u", "t"),
+            [
+                [("1", "x"), ("1", "y"), ("-1", "z"), ("-1", "t")],
+                [("1", "x"), ("1", "y^2"), ("-1", "w"), ("-1", "t^2")],
+                [("1", "x"), ("1", "y^3"), ("-1", "u"), ("-1", "t"), ("-1", "t^3")],
+            ],
+            "allow-repeats",
+            "unknown",
+        ),
+    ),
+    "concluding-2": (
+        "concluding-2(z^2,-z)",
+        (
+            "concluding-2",
+            ("x", "y", "z", "t"),
+            [[("1", "x"), ("1", "y"), ("-1", "z^2"), ("-1", "t^2")], [("1", "x"), ("1", "y"), ("-1", "z^3"), ("1", "t")]],
+            "allow-repeats",
+            "unknown",
+        ),
+    ),
+    "concluding-3": (
+        "concluding-3(z,2z,z^2)",
+        (
+            "concluding-3",
+            ("x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3", "y4", "t"),
+            [
+                [("1", "x1"), ("1", "x2"), ("1", "x3"), ("-1", "y1*y2"), ("-1", "t")],
+                [("1", "x2"), ("1", "x3"), ("1", "x4"), ("-1", "y2*y3"), ("-2", "t")],
+                [("1", "x3"), ("1", "x4"), ("1", "x5"), ("-1", "y3*y4"), ("-1", "t^2")],
+            ],
+            "allow-repeats",
+            "unknown",
+        ),
+    ),
+}
+
+
+def _pin(sys):
+    """Name, variables, each equation's terms in order (coefficient text and
+    monomial), distinctness and status."""
+    terms = [[(str(c), repr(m)) for c, m in eq.terms] for eq in sys.equations]
+    return (sys.name, sys.variables, terms, sys.distinctness, sys.status)
+
+
+@pytest.mark.parametrize("family", sorted(_TEMPLATES))
+def test_every_family_builds_its_pinned_system(family):
+    spec, expected = _PINS[family]
+    assert _pin(parse_template_spec(spec)) == expected
+
+
+def test_nonlinear_rado_builds_its_pinned_system():
+    A = Matrix([[1, 0, Fraction(-3, 2)], [2, -1, -1]])
+    sys = build_nonlinear_rado(A, [poly_parse("z^2 + z"), poly_parse("-z^3")])
+    assert _pin(sys) == (
+        "nonlinear-rado",
+        ("x1", "x2", "y1", "y2", "z"),
+        [[("1", "x1"), ("-3/2", "y1"), ("1", "z"), ("1", "z^2")], [("2", "x1"), ("-1", "x2"), ("-1", "y2"), ("-1", "z^3")]],
+        "allow-repeats",
+        "regular-by-paper",
+    )
