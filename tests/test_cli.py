@@ -683,6 +683,269 @@ def test_report_names_the_budget_applied(capsys, matrix_file, tmp_path, command,
         assert payload["budget"] == {"range": budget[0], "node_limit": 100000}
 
 
+# every subcommand's human line and JSON report (less elapsed_s), on the runs
+# of SUBCOMMANDS, a not-found or budget run of each subcommand that has one,
+# runs whose values are fractions, and the four runs of the benchmark's
+# matrix-and-coloring workload (seed 1); each entry is argv, exit code, human
+# stdout, then the report's inputs, outcome and (range, node_limit) budget
+GOLDEN_MATRICES = {"MATRIX": "1 1 -1", "NO-CC": "1 1 -3", "IDENTITY": "1 0\n0 1", "DIFF": "1 -1"}
+GOLDEN = [
+    (
+        ["check-cc", "MATRIX"],
+        0,
+        "SATISFIED blocks=[[1, 3], [2]]\n",
+        {"matrix": "1 1 -1"},
+        {"satisfied": True, "witness": {"blocks": [[1, 3], [2]]}},
+        (None, None),
+    ),
+    (
+        ["check-cc", "NO-CC"],
+        1,
+        "NOT SATISFIED\n",
+        {"matrix": "1 1 -3"},
+        {"satisfied": False},
+        (None, None),
+    ),
+    (
+        ["expand", "MATRIX"],
+        0,
+        "1 1 -1\n",
+        {"matrix": "1 1 -1"},
+        {"expanded": "1 1 -1"},
+        (None, None),
+    ),
+    (
+        ["kernel", "MATRIX"],
+        0,
+        "-1 1 0\n1 0 1\n",
+        {"matrix": "1 1 -1"},
+        {"basis": [[-1, 1, 0], [1, 0, 1]]},
+        (None, None),
+    ),
+    (
+        ["kernel", "IDENTITY"],
+        1,
+        "(trivial kernel)\n",
+        {"matrix": "1 0\n0 1"},
+        {"basis": []},
+        (None, None),
+    ),
+    (
+        ["constant-solution", "MATRIX", "--rhs", "3"],
+        0,
+        "CONSTANT d = 3\n",
+        {"matrix": "1 1 -1", "rhs": "3"},
+        {"constant": 3},
+        (None, None),
+    ),
+    (
+        ["constant-solution", "DIFF", "--rhs", "5"],
+        1,
+        "NO CONSTANT SOLUTION\n",
+        {"matrix": "1 -1", "rhs": "5"},
+        {"constant": None},
+        (None, None),
+    ),
+    (
+        ["solve", "schur", "--coloring", "parity"],
+        0,
+        "SOLUTION color=0 {'x': 2, 'y': 2, 'z': 4} [status=regular-by-paper]\n",
+        {"coloring": "parity", "colors": 2, "status": "regular-by-paper", "system": "schur"},
+        {"color": 0, "nodes": 2, "solution": {"x": 2, "y": 2, "z": 4}},
+        (100, None),
+    ),
+    (
+        ["solve", "schur", "--coloring", "parity", "--budget-nodes", "1"],
+        3,
+        "BUDGET (node budget 1 exhausted)\n",
+        {"coloring": "parity", "colors": 2, "status": "regular-by-paper", "system": "schur"},
+        {"budget_exhausted": True, "nodes": 2},
+        (100, 1),
+    ),
+    (
+        ["rado-number", "schur", "--range", "6"],
+        0,
+        "RADO-NUMBER 5 (avoider for N=4 attached, nodes=33, pruned=2)\n",
+        {"colors": 2, "system": "schur"},
+        {"avoider": "4 2\n0 1 1 0\n", "exhausted": False, "nodes": 33, "pruned": 2, "value": 5},
+        (6, None),
+    ),
+    (
+        ["rado-number", "schur", "--range", "4"],
+        1,
+        "UNRESOLVED up to N=4 (avoider exists at N=4)\n",
+        {"colors": 2, "system": "schur"},
+        {"avoider": "4 2\n0 1 1 0\n", "exhausted": False, "nodes": 19, "pruned": 1, "value": None},
+        (4, None),
+    ),
+    (
+        ["rado-number", "schur", "--range", "6", "--budget-nodes", "5"],
+        3,
+        "BUDGET (largest avoider N=0, nodes=6, pruned=0)\n",
+        {"colors": 2, "system": "schur"},
+        {"avoider": None, "exhausted": True, "nodes": 6, "pruned": 0, "value": None},
+        (6, 5),
+    ),
+    (
+        ["export-cnf", "schur", "--range", "5", "--out", "OUT"],
+        0,
+        "WROTE OUT (p cnf 10 22)\n",
+        {"colors": 2, "range": 5, "system": "schur"},
+        {"file": "OUT", "header": "p cnf 10 22", "truncated": False},
+        (5, 200000),
+    ),
+    (
+        ["export-cnf", "equation(1,1,1,1,-1)", "--range", "100", "--out", "OUT"],
+        3,
+        "WROTE OUT (p cnf 200 313506); TRUNCATED: solution enumeration hit the 200,000-node tuple limit,"
+        " so the instance under-approximates\n",
+        {"colors": 2, "range": 100, "system": "equation(1,1,1,1,-1)"},
+        {"file": "OUT", "header": "p cnf 200 313506", "truncated": True},
+        (100, 200000),
+    ),
+    (
+        ["fsfp", "--coloring", "parity", "--range", "30"],
+        0,
+        "WITNESS a=[2, 2] b=[2, 2] color=0\n",
+        {"coloring": "parity", "colors": 2, "depth": 2},
+        {"a_seq": [2, 2], "b_seq": [2, 2], "color": 0},
+        (30, None),
+    ),
+    (
+        ["fsfp", "--coloring", "parity", "--range", "2"],
+        1,
+        "NO WITNESS AT THIS SCALE\n",
+        {"coloring": "parity", "colors": 2, "depth": 2},
+        {"witness": None},
+        (2, None),
+    ),
+    (
+        ["polyvdw", "--coloring", "parity", "--polys", "z"],
+        0,
+        "WITNESS a=1 d=2 color=1\n",
+        {"coloring": "parity", "colors": 2, "polys": "z"},
+        {"a": 1, "color": 1, "d": 2},
+        (100, None),
+    ),
+    (
+        ["polyvdw", "--coloring", "parity", "--polys", "z", "--range", "2"],
+        1,
+        "NO WITNESS AT THIS SCALE\n",
+        {"coloring": "parity", "colors": 2, "polys": "z"},
+        {"witness": None},
+        (2, None),
+    ),
+    (
+        ["construct-thm34", "--a-list", "1", "--a", "5", "--d", "1", "--polys", "z^2"],
+        0,
+        "equation 1: {'x1': 5, 'y1': 1, 'y2': 1, 'z1': 4}\nresiduals: [0]\nintegral: True\n",
+        {"a": "5", "a_list": "1", "b_list": "", "d": "1", "polys": "z^2"},
+        {
+            "all_satisfied": True,
+            "assignments": [{"x1": 5, "y1": 1, "y2": 1, "z1": 4}],
+            "integral": True,
+            "residuals": [0],
+        },
+        (None, None),
+    ),
+    (
+        ["construct-thm34", "--a-list", "1,2", "--b-list", "3", "--a", "5", "--d", "1", "--polys", "z^2"],
+        0,
+        "equation 1: {'x1': 15, 'x2': 30, 'y1': 3, 'y2': 3, 'y3': 1, 'z1': Fraction(44, 9)}\n"
+        "residuals: [0]\nintegral: False\n",
+        {"a": "5", "a_list": "1,2", "b_list": "3", "d": "1", "polys": "z^2"},
+        {
+            "all_satisfied": True,
+            "assignments": [{"x1": 15, "x2": 30, "y1": 3, "y2": 3, "y3": 1, "z1": "44/9"}],
+            "integral": False,
+            "residuals": [0],
+        },
+        (None, None),
+    ),
+    (
+        ["construct-thm37", "MATRIX", "--kernel-vec", "1,1,2", "--a", "10", "--d", "2", "--polys", "z^2"],
+        0,
+        "assignment: {'x1': 10, 'x2': 10, 'y1': 24, 'z': 2}\nresiduals: [0]\nintegral: True\n",
+        {"a": "10", "d": "2", "matrix": "1 1 -1", "polys": "z^2"},
+        {
+            "all_satisfied": True,
+            "assignment": {"x1": 10, "x2": 10, "y1": 24, "z": 2},
+            "integral": True,
+            "residuals": [0],
+        },
+        (None, None),
+    ),
+    (
+        ["construct-thm37", "MATRIX", "--kernel-vec", "1,1,2", "--a", "1/2", "--d", "1/3", "--polys", "z^2"],
+        0,
+        "assignment: {'x1': Fraction(1, 2), 'x2': Fraction(1, 2), 'y1': Fraction(10, 9), 'z': Fraction(1, 3)}\n"
+        "residuals: [0]\nintegral: False\n",
+        {"a": "1/2", "d": "1/3", "matrix": "1 1 -1", "polys": "z^2"},
+        {
+            "all_satisfied": True,
+            "assignment": {"x1": "1/2", "x2": "1/2", "y1": "10/9", "z": "1/3"},
+            "integral": False,
+            "residuals": [0],
+        },
+        (None, None),
+    ),
+    (
+        ["solve", "equation(1,1,-3)", "--coloring", "rado-avoider(1,1,-3;5)", "--range", "600"],
+        1,
+        "NONE-IN-RANGE [1..600] [status=unknown]\n",
+        {"coloring": "rado-avoider(1,1,-3;5)", "colors": 4, "status": "unknown", "system": "equation(1,1,-3)"},
+        {"nodes": 15700, "solution": None},
+        (600, None),
+    ),
+    (
+        ["solve", "ap-times-power(2,2,3)", "--coloring", "parity", "--range", "24"],
+        0,
+        "SOLUTION color=0 {'x1': 2, 'x2': 8, 'x3': 6, 'y1': 4, 'y2': 6, 'z': 2} [status=regular-by-paper]\n",
+        {"coloring": "parity", "colors": 2, "status": "regular-by-paper", "system": "ap-times-power(l=2,m=2,n=3)"},
+        {"color": 0, "nodes": 502, "solution": {"x1": 2, "x2": 8, "x3": 6, "y1": 4, "y2": 6, "z": 2}},
+        (24, None),
+    ),
+    (
+        ["fsfp", "--coloring", "random(358)", "--range", "300", "--depth", "2"],
+        0,
+        "WITNESS a=[1, 1] b=[1, 1] color=0\n",
+        {"coloring": "random(358)", "colors": 2, "depth": 2},
+        {"a_seq": [1, 1], "b_seq": [1, 1], "color": 0},
+        (300, None),
+    ),
+    (
+        ["polyvdw", "--coloring", "parity", "--polys", "z^2, 2z^2", "--range", "200"],
+        0,
+        "WITNESS a=1 d=2 color=1\n",
+        {"coloring": "parity", "colors": 2, "polys": "z^2, 2z^2"},
+        {"a": 1, "color": 1, "d": 2},
+        (200, None),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, human, inputs, outcome, budget", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_each_subcommand_prints_its_pinned_output(
+    capsys, matrix_file, tmp_path, argv, code, human, inputs, outcome, budget
+):
+    paths = {name: matrix_file(text, name) for name, text in GOLDEN_MATRICES.items()}
+    paths["OUT"] = str(tmp_path / "out.cnf")
+    real = [paths.get(a, a) for a in argv]
+    got = run(capsys, real)
+    assert (got[0], got[1].replace(paths["OUT"], "OUT"), got[2]) == (code, human, "")
+    got_code, payload = run_json(capsys, real)
+    assert payload.pop("elapsed_s") >= 0
+    assert (got_code, json.loads(json.dumps(payload).replace(paths["OUT"], "OUT"))) == (
+        code,
+        {
+            "command": argv[0],
+            "inputs": inputs,
+            "outcome": outcome,
+            "budget": {"range": budget[0], "node_limit": budget[1]},
+        },
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
