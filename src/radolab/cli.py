@@ -49,21 +49,27 @@ def _assignment_json(assignment: dict) -> dict:
     return {k: _scalar_json(v) for k, v in assignment.items()}
 
 
-def _load_matrix(path: str) -> Matrix:
+def _show(values: dict) -> str:
+    """A dict of scalars as a human line prints it, fractions as p/q."""
+    return "{" + ", ".join(f"{k!r}: {v}" for k, v in values.items()) + "}"
+
+
+def _read(path: str, what: str, parse):
+    """`parse` applied to the text of the file `path`, which holds a `what`."""
     try:
         with open(path) as fh:
-            return Matrix.from_text(fh.read())
+            return parse(fh.read())
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read matrix from {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def _load_matrix(path: str) -> Matrix:
+    return _read(path, "matrix", Matrix.from_text)
 
 
 def _load_system(spec: str) -> systems.EquationSystem:
     if os.path.exists(spec):
-        try:
-            with open(spec) as fh:
-                return systems.system_from_json(json.load(fh))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read system from {spec}: {exc}") from exc
+        return _read(spec, "system", lambda text: systems.system_from_json(json.loads(text)))
     try:
         return systems.parse_template_spec(spec)
     except ValueError as exc:
@@ -111,11 +117,7 @@ def _build_coloring(spec: str, N: int, r: int) -> colorings.Coloring:
             raise CliError(f"avoider generator refused: {exc}") from exc
         return gen.coloring(N)
     if os.path.exists(spec):
-        try:
-            with open(spec) as fh:
-                return colorings.Coloring.from_text(fh.read())
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read coloring from {spec}: {exc}") from exc
+        return _read(spec, "coloring", colorings.Coloring.from_text)
     raise CliError(f"unknown coloring spec {spec!r}")
 
 
@@ -127,24 +129,22 @@ def _parse_poly_list(text: str):
     return [poly_parse(t) for t in text.split(",") if t.strip()]
 
 
-def _report(args, command: str, inputs: dict, outcome: dict, elapsed: float, human: str, budget=(None, None)):
-    """Print the run report.  `budget` is the (range, node limit) the command
-    applied; a command that searches no range reports both as null."""
+def _report(args, t0: float, code: int, inputs: dict, outcome: dict, human: str, budget=None) -> int:
+    """Print the run report of the work begun at `t0` and return `code`.
+    `budget` is the search.SearchBudget the command applied; a command that
+    searches no range passes None and reports both of its fields as null."""
     if args.json:
         payload = {
-            "command": command,
+            "command": args.cmd,
             "inputs": inputs,
             "outcome": outcome,
-            "elapsed_s": round(elapsed, 6),
-            "budget": {"range": budget[0], "node_limit": budget[1]},
+            "elapsed_s": round(time.perf_counter() - t0, 6),
+            "budget": {"range": budget.N if budget else None, "node_limit": budget.node_limit if budget else None},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
-
-
-def _budget(args) -> search.SearchBudget:
-    return search.SearchBudget(N=args.range, node_limit=args.budget_nodes)
+    return code
 
 
 def _check_colors(r) -> None:
@@ -160,35 +160,29 @@ def cmd_check_cc(args) -> int:
     A = _load_matrix(args.matrix)
     t0 = time.perf_counter()
     w = radomat.column_condition(A)
-    elapsed = time.perf_counter() - t0
     if w is not None:
         outcome = {"satisfied": True, "witness": w.to_json()}
         human = f"SATISFIED blocks={[list(b) for b in w.blocks]}"
     else:
         outcome = {"satisfied": False}
         human = "NOT SATISFIED"
-    _report(args, "check-cc", {"matrix": A.to_text()}, outcome, elapsed, human)
-    return EXIT_FOUND if w is not None else EXIT_NOT_FOUND
+    return _report(args, t0, EXIT_FOUND if w is not None else EXIT_NOT_FOUND, {"matrix": A.to_text()}, outcome, human)
 
 
 def cmd_expand(args) -> int:
     A = _load_matrix(args.matrix)
     t0 = time.perf_counter()
     text = radomat.expand_matrix(A).to_text()
-    elapsed = time.perf_counter() - t0
-    _report(args, "expand", {"matrix": A.to_text()}, {"expanded": text}, elapsed, text)
-    return EXIT_FOUND
+    return _report(args, t0, EXIT_FOUND, {"matrix": A.to_text()}, {"expanded": text}, text)
 
 
 def cmd_kernel(args) -> int:
     A = _load_matrix(args.matrix)
     t0 = time.perf_counter()
     basis = kernel_basis(A)
-    elapsed = time.perf_counter() - t0
     human = "\n".join(" ".join(str(e) for e in v) for v in basis) or "(trivial kernel)"
     outcome = {"basis": [[_scalar_json(e) for e in v] for v in basis]}
-    _report(args, "kernel", {"matrix": A.to_text()}, outcome, elapsed, human)
-    return EXIT_FOUND if basis else EXIT_NOT_FOUND
+    return _report(args, t0, EXIT_FOUND if basis else EXIT_NOT_FOUND, {"matrix": A.to_text()}, outcome, human)
 
 
 def cmd_constant_solution(args) -> int:
@@ -199,15 +193,14 @@ def cmd_constant_solution(args) -> int:
         raise CliError(f"bad rhs: {exc}") from exc
     t0 = time.perf_counter()
     d = radomat.constant_solution(A, b)
-    elapsed = time.perf_counter() - t0
     if d is not None:
         outcome = {"constant": _scalar_json(d)}
         human = f"CONSTANT d = {d}"
     else:
         outcome = {"constant": None}
         human = "NO CONSTANT SOLUTION"
-    _report(args, "constant-solution", {"matrix": A.to_text(), "rhs": args.rhs}, outcome, elapsed, human)
-    return EXIT_FOUND if d is not None else EXIT_NOT_FOUND
+    inputs = {"matrix": A.to_text(), "rhs": args.rhs}
+    return _report(args, t0, EXIT_FOUND if d is not None else EXIT_NOT_FOUND, inputs, outcome, human)
 
 
 def _apply_distinct(sys: systems.EquationSystem, args) -> systems.EquationSystem:
@@ -228,35 +221,32 @@ def cmd_solve(args) -> int:
     _check_range(args)
     sys_ = _apply_distinct(_load_system(args.system), args)
     col = _load_coloring(args.coloring, args.range, args.colors)
-    searched = min(args.range, col.N)  # a coloring file may be shorter than --range
     inputs = {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status}
-    budget = (searched, args.budget_nodes)
-    nodes = search._Nodes(args.budget_nodes)
+    # a coloring file may be shorter than --range
+    budget = search.SearchBudget(N=min(args.range, col.N), node_limit=args.budget_nodes)
+    nodes = search._Nodes(budget.node_limit)
     t0 = time.perf_counter()
     try:
-        rec = search.find_mono_solution(sys_, col, _budget(args), nodes)
+        rec = search.find_mono_solution(sys_, col, budget, nodes)
     except search.BudgetExhausted as exc:
         outcome = {"budget_exhausted": True, "nodes": nodes.count}
-        _report(args, "solve", inputs, outcome, time.perf_counter() - t0, f"BUDGET ({exc})", budget)
-        return EXIT_BUDGET
-    elapsed = time.perf_counter() - t0
+        return _report(args, t0, EXIT_BUDGET, inputs, outcome, f"BUDGET ({exc})", budget)
     label = f"[status={sys_.status}]"
     if rec is not None:
         outcome = {"solution": _assignment_json(rec.assignment), "color": rec.color, "nodes": nodes.count}
         human = f"SOLUTION color={rec.color} {rec.assignment} {label}"
     else:
         outcome = {"solution": None, "nodes": nodes.count}
-        human = f"NONE-IN-RANGE [1..{searched}] {label}"
-    _report(args, "solve", inputs, outcome, elapsed, human, budget)
-    return EXIT_FOUND if rec is not None else EXIT_NOT_FOUND
+        human = f"NONE-IN-RANGE [1..{budget.N}] {label}"
+    return _report(args, t0, EXIT_FOUND if rec is not None else EXIT_NOT_FOUND, inputs, outcome, human, budget)
 
 
 def cmd_rado_number(args) -> int:
     sys_ = _apply_distinct(_load_system(args.system), args)
     _check_colors(args.colors)
+    budget = search.SearchBudget(N=args.range, node_limit=args.budget_nodes)
     t0 = time.perf_counter()
-    res = search.rado_number(sys_, args.colors, _budget(args))
-    elapsed = time.perf_counter() - t0
+    res = search.rado_number(sys_, args.colors, budget)
     avoider = res.avoider.to_text() if res.avoider is not None else None
     outcome = {
         "value": res.value,
@@ -273,11 +263,9 @@ def cmd_rado_number(args) -> int:
         human = f"BUDGET (largest avoider N={res.avoider.N if res.avoider else 0}, {counts})"
         code = EXIT_BUDGET
     else:
-        human = f"UNRESOLVED up to N={args.range} (avoider exists at N={args.range})"
+        human = f"UNRESOLVED up to N={budget.N} (avoider exists at N={budget.N})"
         code = EXIT_NOT_FOUND
-    inputs = {"system": sys_.name, "colors": args.colors}
-    _report(args, "rado-number", inputs, outcome, elapsed, human, (args.range, args.budget_nodes))
-    return code
+    return _report(args, t0, code, {"system": sys_.name, "colors": args.colors}, outcome, human, budget)
 
 
 def cmd_export_cnf(args) -> int:
@@ -289,7 +277,6 @@ def cmd_export_cnf(args) -> int:
         with open(args.out, "w") as fh:
             t0 = time.perf_counter()
             text = search.export_cnf(sys_, args.colors, args.range)
-            elapsed = time.perf_counter() - t0
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
@@ -304,16 +291,10 @@ def cmd_export_cnf(args) -> int:
             f"; TRUNCATED: solution enumeration hit the {search.CNF_TUPLE_LIMIT:,}-node tuple"
             " limit, so the instance under-approximates"
         )
-    _report(
-        args,
-        "export-cnf",
-        {"system": sys_.name, "colors": args.colors, "range": args.range},
-        {"file": args.out, "header": header, "truncated": truncated},
-        elapsed,
-        human,
-        (args.range, search.CNF_TUPLE_LIMIT),
-    )
-    return EXIT_BUDGET if truncated else EXIT_FOUND
+    inputs = {"system": sys_.name, "colors": args.colors, "range": args.range}
+    outcome = {"file": args.out, "header": header, "truncated": truncated}
+    budget = search.SearchBudget(N=args.range, node_limit=search.CNF_TUPLE_LIMIT)
+    return _report(args, t0, EXIT_BUDGET if truncated else EXIT_FOUND, inputs, outcome, human, budget)
 
 
 def cmd_fsfp(args) -> int:
@@ -321,7 +302,6 @@ def cmd_fsfp(args) -> int:
     col = _load_coloring(args.coloring, args.range, args.colors)
     t0 = time.perf_counter()
     w = colorings.search_fsfp(col, args.depth)
-    elapsed = time.perf_counter() - t0
     if w is not None:
         outcome = {"a_seq": list(w.a_seq), "b_seq": list(w.b_seq), "color": w.color}
         human = f"WITNESS a={list(w.a_seq)} b={list(w.b_seq)} color={w.color}"
@@ -329,8 +309,8 @@ def cmd_fsfp(args) -> int:
         outcome = {"witness": None}
         human = "NO WITNESS AT THIS SCALE"
     inputs = {"coloring": args.coloring, "colors": col.r, "depth": args.depth}
-    _report(args, "fsfp", inputs, outcome, elapsed, human, (args.range, None))
-    return EXIT_FOUND if w is not None else EXIT_NOT_FOUND
+    code = EXIT_FOUND if w is not None else EXIT_NOT_FOUND
+    return _report(args, t0, code, inputs, outcome, human, search.SearchBudget(N=args.range))
 
 
 def cmd_polyvdw(args) -> int:
@@ -342,7 +322,6 @@ def cmd_polyvdw(args) -> int:
         raise CliError(f"bad polynomial list: {exc}") from exc
     t0 = time.perf_counter()
     res = colorings.poly_vdw_witness(col, polys)
-    elapsed = time.perf_counter() - t0
     if res is not None:
         a, d, color = res
         outcome = {"a": a, "d": d, "color": color}
@@ -351,8 +330,25 @@ def cmd_polyvdw(args) -> int:
         outcome = {"witness": None}
         human = "NO WITNESS AT THIS SCALE"
     inputs = {"coloring": args.coloring, "colors": col.r, "polys": args.polys}
-    _report(args, "polyvdw", inputs, outcome, elapsed, human, (args.range, None))
-    return EXIT_FOUND if res is not None else EXIT_NOT_FOUND
+    code = EXIT_FOUND if res is not None else EXIT_NOT_FOUND
+    return _report(args, t0, code, inputs, outcome, human, search.SearchBudget(N=args.range))
+
+
+def _report_construction(args, t0: float, inputs: dict, sys_, labelled: dict, outcome: dict) -> int:
+    """Report the assignments of a construction: `labelled` maps the label of
+    each on the human line to it, and `outcome` holds them as the JSON report
+    gives them.  The residuals and integrality are those of their union."""
+    merged = {k: v for asg in labelled.values() for k, v in asg.items()}
+    residuals = sys_.residuals(merged)
+    integral = systems.integrality_check(merged)
+    outcome.update(
+        residuals=[_scalar_json(r) for r in residuals],
+        all_satisfied=all(r == 0 for r in residuals),
+        integral=integral,
+    )
+    human = [f"{label}: {_show(asg)}" for label, asg in labelled.items()]
+    human += [f"residuals: [{', '.join(map(str, residuals))}]", f"integral: {integral}"]
+    return _report(args, t0, EXIT_FOUND, inputs, outcome, "\n".join(human))
 
 
 def cmd_construct_thm34(args) -> int:
@@ -365,27 +361,12 @@ def cmd_construct_thm34(args) -> int:
         assignments = systems.construct_thm34(a_list, b_list, a, d, polys)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
-    n, m = len(a_list), len(b_list) + 1
-    sys_ = systems.poly_sum_product(n, m, polys)
+    sys_ = systems.poly_sum_product(len(a_list), len(b_list) + 1, polys)
     t0 = time.perf_counter()
-    merged = {}
-    for asg in assignments:
-        merged.update(asg)
-    residuals = sys_.residuals(merged)
-    elapsed = time.perf_counter() - t0
-    integral = systems.integrality_check(merged)
-    outcome = {
-        "assignments": [_assignment_json(a_) for a_ in assignments],
-        "residuals": [_scalar_json(r) for r in residuals],
-        "all_satisfied": all(r == 0 for r in residuals),
-        "integral": integral,
-    }
-    human = "\n".join(
-        [f"equation {i + 1}: {a_}" for i, a_ in enumerate(assignments)]
-        + [f"residuals: {residuals}", f"integral: {integral}"]
-    )
-    _report(args, "construct-thm34", {"a_list": args.a_list, "b_list": args.b_list, "a": args.a, "d": args.d, "polys": args.polys}, outcome, elapsed, human)
-    return EXIT_FOUND
+    inputs = {"a_list": args.a_list, "b_list": args.b_list, "a": args.a, "d": args.d, "polys": args.polys}
+    labelled = {f"equation {i}": asg for i, asg in enumerate(assignments, 1)}
+    outcome = {"assignments": [_assignment_json(asg) for asg in assignments]}
+    return _report_construction(args, t0, inputs, sys_, labelled, outcome)
 
 
 def cmd_construct_thm37(args) -> int:
@@ -395,10 +376,10 @@ def cmd_construct_thm37(args) -> int:
         if args.kernel_vec:
             X = tuple(_parse_scalar_list(args.kernel_vec))
         else:
-            basis = kernel_basis(A)
-            if not basis:
-                raise CliError("trivial kernel: supply --kernel-vec")
-            X = basis[0]
+            # some kernel vector has x_n != 0 exactly when a basis vector has
+            X = next((v for v in kernel_basis(A) if v[-1] != 0), None)
+            if X is None:
+                raise CliError("no kernel vector of the matrix has x_n != 0, which Theorem 3.7 needs")
         a = parse_scalar(args.a)
         d = parse_scalar(args.d)
         assignment = systems.construct_thm37(A, X, a, d, polys)
@@ -406,18 +387,9 @@ def cmd_construct_thm37(args) -> int:
         raise CliError(str(exc)) from exc
     t0 = time.perf_counter()
     sys_ = systems.build_nonlinear_rado(A, polys)
-    residuals = sys_.residuals(assignment)
-    elapsed = time.perf_counter() - t0
-    integral = systems.integrality_check(assignment)
-    outcome = {
-        "assignment": _assignment_json(assignment),
-        "residuals": [_scalar_json(r) for r in residuals],
-        "all_satisfied": all(r == 0 for r in residuals),
-        "integral": integral,
-    }
-    human = f"assignment: {assignment}\nresiduals: {residuals}\nintegral: {integral}"
-    _report(args, "construct-thm37", {"matrix": A.to_text(), "a": args.a, "d": args.d, "polys": args.polys}, outcome, elapsed, human)
-    return EXIT_FOUND
+    inputs = {"matrix": A.to_text(), "a": args.a, "d": args.d, "polys": args.polys}
+    outcome = {"assignment": _assignment_json(assignment)}
+    return _report_construction(args, t0, inputs, sys_, {"assignment": assignment}, outcome)
 
 
 # ---------------------------------------------------------------------------

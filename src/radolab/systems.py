@@ -4,6 +4,8 @@ exact checkers for the explicit proof constructions."""
 from __future__ import annotations
 
 import functools
+import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -342,7 +344,8 @@ _TEMPLATES = {
 
 def build_template(family: str, ints=(), polys=()) -> EquationSystem:
     """Build a named family; `ints` are the leading numeric parameters and
-    `polys` the polynomial parameters, each as many as the family takes."""
+    `polys` the polynomial parameters, each as many as the family takes.
+    Only `equation` takes parameters that are not integers."""
     try:
         n_ints, n_polys, builder = _TEMPLATES[family]
     except KeyError:
@@ -350,13 +353,22 @@ def build_template(family: str, ints=(), polys=()) -> EquationSystem:
     for want, got, kind in ((n_ints, ints, "integer parameters"), (n_polys, polys, "polynomials")):
         if want is not None and len(got) != want:
             raise ValueError(f"{family} takes {want} {kind}, got {len(got)}")
+    if family != "equation":
+        for v in ints:
+            if not isinstance(v, int):
+                raise ValueError(f"{family} takes integer parameters, not {v}")
     return builder(list(ints), list(polys))
+
+
+# a template argument that is a parameter: an integer or p/q
+_NUMBER = re.compile(r"-?\d+(?:/\d+)?")
 
 
 def parse_template_spec(text: str) -> EquationSystem:
     """Parse e.g. 'power-product(z^2, z^3)', 'ap-times-product(2,1,3)',
-    'equation(1,1,-3)', 'schur'.  Arguments are classified positionally:
-    integer parameters first, polynomials after."""
+    'equation(1/2,1/2,-1)', 'schur'.  A number (an integer or p/q) is a
+    parameter and any other argument a polynomial, since a polynomial has no
+    constant term; the parameters come first."""
     text = text.strip()
     if "(" not in text:
         return build_template(text)
@@ -367,10 +379,11 @@ def parse_template_spec(text: str) -> EquationSystem:
     args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
     if family not in _TEMPLATES:
         raise ValueError(f"unknown template family {family!r}")
-    n_ints = _TEMPLATES[family][0]
-    if n_ints is None:
-        n_ints = len(args)
-    return build_template(family, [int(a) for a in args[:n_ints]], [poly_parse(a) for a in args[n_ints:]])
+    n_params = len(list(itertools.takewhile(_NUMBER.fullmatch, args)))
+    for a in args[n_params:]:
+        if _NUMBER.fullmatch(a):
+            raise ValueError(f"the parameter {a} follows a polynomial")
+    return build_template(family, [parse_scalar(a) for a in args[:n_params]], [poly_parse(a) for a in args[n_params:]])
 
 
 # ---------------------------------------------------------------------------

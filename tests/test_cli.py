@@ -261,11 +261,21 @@ def test_distinct_keeps_a_status_only_where_it_transfers(capsys):
         ("mult-schur(z^2)", "mult-schur takes 0 polynomials, got 1"),
         ("ap-times-power(2,2,3,z^2)", "ap-times-power takes 0 polynomials, got 1"),
         ("ap-times-product(1,1,3,z)", "ap-times-product takes 0 polynomials, got 1"),
+        # a number is a parameter, wherever the family expects one
+        ("schur(1)", "schur takes 0 integer parameters, got 1"),
+        ("poly-sum-product(2,z^2)", "poly-sum-product takes 2 integer parameters, got 1"),
+        ("ap-times-power(2,2,3/2)", "ap-times-power takes integer parameters, not 3/2"),
     ],
 )
 def test_template_refuses_arguments_its_family_does_not_take(capsys, spec, arity):
     code, out, err = run(capsys, ["solve", spec, "--coloring", "all-one", "--range", "10"])
     assert (code, out, err) == (2, "", f"error: bad system spec {spec!r}: {arity}\n")
+
+
+def test_solve_reads_a_fractional_equation_spec(capsys):
+    # 1/2 x + 1/2 y = z: x = y = z solves it
+    code, out, err = run(capsys, ["solve", "equation(1/2,1/2,-1)", "--coloring", "parity", "--range", "20"])
+    assert (code, out, err) == (0, "SOLUTION color=0 {'v1': 2, 'v2': 2, 'v3': 2} [status=unknown]\n", "")
 
 
 def test_solve_concluding_1_keeps_status_label(capsys):
@@ -577,6 +587,19 @@ def test_construct_thm37_reports_elapsed(capsys, tmp_path):
     assert payload["elapsed_s"] > 0
 
 
+def test_construct_thm37_picks_a_kernel_vector_with_x_n_nonzero(capsys, matrix_file):
+    # the basis of 1 1 -1 is (-1, 1, 0), (1, 0, 1); the first has x_n = 0
+    argv = ["construct-thm37", matrix_file("1 1 -1"), "--a", "1", "--d", "2", "--polys", "z"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == "assignment: {'x1': 1, 'x2': 0, 'y1': 3, 'z': 2}\nresiduals: [0]\nintegral: False\n"
+    # every kernel vector of this one has x_3 = 0
+    argv = ["construct-thm37", matrix_file("1 1 -1\n0 0 1", "B.txt"), "--a", "1", "--d", "2", "--polys", "z,z"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: no kernel vector of the matrix has x_n != 0, which Theorem 3.7 needs\n"
+
+
 def test_construct_thm37_non_kernel_vec(capsys, tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1 1 -1")
@@ -851,7 +874,7 @@ GOLDEN = [
     (
         ["construct-thm34", "--a-list", "1,2", "--b-list", "3", "--a", "5", "--d", "1", "--polys", "z^2"],
         0,
-        "equation 1: {'x1': 15, 'x2': 30, 'y1': 3, 'y2': 3, 'y3': 1, 'z1': Fraction(44, 9)}\n"
+        "equation 1: {'x1': 15, 'x2': 30, 'y1': 3, 'y2': 3, 'y3': 1, 'z1': 44/9}\n"
         "residuals: [0]\nintegral: False\n",
         {"a": "5", "a_list": "1,2", "b_list": "3", "d": "1", "polys": "z^2"},
         {
@@ -878,7 +901,7 @@ GOLDEN = [
     (
         ["construct-thm37", "MATRIX", "--kernel-vec", "1,1,2", "--a", "1/2", "--d", "1/3", "--polys", "z^2"],
         0,
-        "assignment: {'x1': Fraction(1, 2), 'x2': Fraction(1, 2), 'y1': Fraction(10, 9), 'z': Fraction(1, 3)}\n"
+        "assignment: {'x1': 1/2, 'x2': 1/2, 'y1': 10/9, 'z': 1/3}\n"
         "residuals: [0]\nintegral: False\n",
         {"a": "1/2", "d": "1/3", "matrix": "1 1 -1", "polys": "z^2"},
         {

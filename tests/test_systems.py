@@ -559,6 +559,32 @@ def test_every_family_builds_its_pinned_system(family):
     assert _pin(parse_template_spec(spec)) == expected
 
 
+def test_a_fractional_equation_spec_rebuilds_its_system():
+    sys = single_equation([Fraction(1, 2), Fraction(1, 2), -1])
+    assert sys.name == "equation(1/2,1/2,-1)"
+    assert _pin(parse_template_spec(sys.name)) == _pin(sys)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("schur(1)", "schur takes 0 integer parameters, got 1"),
+        ("poly-sum-product(2,z^2)", "poly-sum-product takes 2 integer parameters, got 1"),
+        ("ap-times-product(1/2,1,3)", "ap-times-product takes integer parameters, not 1/2"),
+        ("sums-with-poly(4/2,z)", None),
+        ("rational-function(1,z,0)", "the parameter 0 follows a polynomial"),
+        ("rational-function(1,z,0z)", None),
+    ],
+)
+def test_a_number_in_a_spec_is_a_parameter(spec, message):
+    if message is None:
+        parse_template_spec(spec)
+    else:
+        with pytest.raises(ValueError) as exc:
+            parse_template_spec(spec)
+        assert str(exc.value) == message
+
+
 def test_nonlinear_rado_builds_its_pinned_system():
     A = Matrix([[1, 0, Fraction(-3, 2)], [2, -1, -1]])
     sys = build_nonlinear_rado(A, [poly_parse("z^2 + z"), poly_parse("-z^3")])
