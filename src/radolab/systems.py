@@ -360,15 +360,16 @@ def build_template(family: str, ints=(), polys=()) -> EquationSystem:
     return builder(list(ints), list(polys))
 
 
-# a template argument that is a parameter: an integer or p/q
-_NUMBER = re.compile(r"-?\d+(?:/\d+)?")
+# a template argument without a variable letter is a number (a parameter),
+# since a polynomial has no constant term
+_NUMBER = re.compile(r"[^A-Za-z]+")
 
 
 def parse_template_spec(text: str) -> EquationSystem:
     """Parse e.g. 'power-product(z^2, z^3)', 'ap-times-product(2,1,3)',
-    'equation(1/2,1/2,-1)', 'schur'.  A number (an integer or p/q) is a
-    parameter and any other argument a polynomial, since a polynomial has no
-    constant term; the parameters come first."""
+    'equation(1/2,1/2,-1)', 'schur'.  An argument without a variable letter
+    is a number (an integer or p/q) and a parameter, any other a polynomial,
+    since a polynomial has no constant term; the parameters come first."""
     text = text.strip()
     if "(" not in text:
         return build_template(text)

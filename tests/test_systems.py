@@ -572,6 +572,7 @@ def test_a_fractional_equation_spec_rebuilds_its_system():
         ("poly-sum-product(2,z^2)", "poly-sum-product takes 2 integer parameters, got 1"),
         ("ap-times-product(1/2,1,3)", "ap-times-product takes integer parameters, not 1/2"),
         ("sums-with-poly(4/2,z)", None),
+        ("equation(+1,1,-2)", None),
         ("rational-function(1,z,0)", "the parameter 0 follows a polynomial"),
         ("rational-function(1,z,0z)", None),
     ],
