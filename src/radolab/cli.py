@@ -352,6 +352,7 @@ def _report_construction(args, t0: float, inputs: dict, sys_, labelled: dict, ou
 
 
 def cmd_construct_thm34(args) -> int:
+    t0 = time.perf_counter()
     try:
         a_list = _parse_scalar_list(args.a_list)
         b_list = _parse_scalar_list(args.b_list) if args.b_list else []
@@ -362,7 +363,6 @@ def cmd_construct_thm34(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
     sys_ = systems.poly_sum_product(len(a_list), len(b_list) + 1, polys)
-    t0 = time.perf_counter()
     inputs = {"a_list": args.a_list, "b_list": args.b_list, "a": args.a, "d": args.d, "polys": args.polys}
     labelled = {f"equation {i}": asg for i, asg in enumerate(assignments, 1)}
     outcome = {"assignments": [_assignment_json(asg) for asg in assignments]}
@@ -371,6 +371,7 @@ def cmd_construct_thm34(args) -> int:
 
 def cmd_construct_thm37(args) -> int:
     A = _load_matrix(args.matrix)
+    t0 = time.perf_counter()
     try:
         polys = _parse_poly_list(args.polys)
         if args.kernel_vec:
@@ -385,7 +386,6 @@ def cmd_construct_thm37(args) -> int:
         assignment = systems.construct_thm37(A, X, a, d, polys)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
-    t0 = time.perf_counter()
     sys_ = systems.build_nonlinear_rado(A, polys)
     inputs = {"matrix": A.to_text(), "a": args.a, "d": args.d, "polys": args.polys}
     outcome = {"assignment": _assignment_json(assignment)}

@@ -215,6 +215,19 @@ class _Plan:
         self.solved = [[c for c in self.closes[i] if not f or c[0] != f[0]] for i, f in enumerate(self.fixing)]
         # until[i]: the first position after i that no equation fixes, or n
         self.until = [next((j for j in range(i + 1, n) if not self.fixing[j]), n) for i in range(n)]
+        # aheads[i]: when a pivot fixes the variable after i and i enters its
+        # equation through one power i^x, (the power's place in feeds[i], x,
+        # k) where k is the coefficient when it is a nonzero constant, the
+        # power is i itself and i is not the root fixed, else None
+        fed = {s for feeds in self.feeds for s, _, _ in feeds}
+        self.aheads = [None] * n
+        for i in range(n - 1):
+            fix = self.fixing[i + 1]
+            into = [(f, t, x) for f, (s, t, x) in enumerate(self.feeds[i]) if fix and fix[3] and s == fix[0]]
+            if len(into) == 1:
+                [(f, t, x)] = into
+                constant = x == 1 and t not in fed and not self.fixing[i]
+                self.aheads[i] = (f, x, self.const[t] if constant else None)
 
     def solutions(self, values, nodes):
         """Every solution with all its values in `values` (positive,
@@ -223,17 +236,24 @@ class _Plan:
         costs one node; a value an equation fixes is free.  Variables are set
         in plan order, and "next" below means next in plan order.
 
-        Two cuts apply when the next variable w is fixed by its pivot
+        Cuts apply when the next variable w is fixed by its pivot
         c * w = -res and the variable v being tried enters that equation
-        through one power, as k * v^x (k known when v's turn comes).  The
-        solved w moves monotonically with v, so the values of v that put
-        -res outside the span of c * w over the class form a prefix and a
-        suffix of the candidates, cut by bisection.  And when x = 1, w is an
-        integer only if k * v = -res (mod c): with g = gcd(k, c), no v fits
-        when g does not divide res, and otherwise v runs over one residue
-        class mod c / g, from the values split by residue once per call and
-        modulus.  A value cut either way is never tried and costs no node;
-        the values that remain are tried in ascending order."""
+        through one power, as k * v^x (k known when v's turn comes).  When
+        x = 1 and k is a constant of the equation, the values of v whose w
+        is in the class are found all at once: v fits iff
+        sign(k) * res + |k| * v = -sign(k) * c * w for a value w, so the
+        keys -sign(k) * c * w, split by residue mod |k| and each part
+        divided by |k|, are bitmasks built once per call, and the
+        candidates are one shift of the part of res's residue, ANDed with
+        the values.  Otherwise the solved w moves monotonically with v, so
+        the values of v that put -res outside the span of c * w over the
+        class form a prefix and a suffix of the candidates, cut by
+        bisection.  And when x = 1, w is an integer only if
+        k * v = -res (mod c): with g = gcd(k, c), no v fits when g does not
+        divide res, and otherwise v runs over one residue class mod c / g,
+        from the values split by residue once per call and modulus.  A value
+        cut is never tried and costs no node; the values that remain are
+        tried in ascending order."""
         n = len(self.names)
         if self.unsolvable or n and not values:
             return
@@ -243,19 +263,32 @@ class _Plan:
         a = [0] * n  # a[i]: value of the variable at plan position i, 0 while unset
         # residual -> value for each pivot: residual + c * v = 0
         lookup = [f and f[3] and (f[0], {-f[3] * w: w for w in values}) for f in fixing]
-        # aheads[i]: when a pivot fixes the variable after i in plan order
-        # and i enters its equation through one power i^x, (the equation,
-        # its table, the power's place in feeds[i], the table's least and
-        # greatest key, the least and greatest value to the power x, and |c|)
-        aheads = [None] * n
-        for i in range(n - 1):
-            p = lookup[i + 1]
-            into = [(f, x) for f, (s, _, x) in enumerate(feeds[i]) if p and s == p[0]]
-            if len(into) == 1:
-                [(f, x)] = into
-                c = fixing[i + 1][3]
+        # per position i with an ahead (see `_Plan`) whose k is a constant:
+        # masks[i] = (the equation, sign(k), |k|, {residue: part}, shift),
+        # where bit u - shift of the part of residue rho stands for the key
+        # u * |k| + rho; else probes[i] = (the equation, its table, the
+        # power's place in feeds[i], the table's least and greatest key, the
+        # least and greatest value to the power x, and |c|)
+        masks, probes = [None] * n, [None] * n
+        held = _bitmask(values) if any(h and h[2] for h in self.aheads) else 0
+        for i, h in enumerate(self.aheads):
+            if h is None:
+                continue
+            f, x, k = h
+            e, table = lookup[i + 1]
+            c = fixing[i + 1][3]
+            if k:
+                s = 1 if k > 0 else -1
+                keys = [-s * c * w for w in values]
+                shift = min(keys[0], keys[-1]) // abs(k)
+                split = {}
+                for q in keys:
+                    u, rho = divmod(q, abs(k))
+                    split.setdefault(rho, []).append(u - shift)
+                masks[i] = (e, s, abs(k), {rho: _bitmask(us) for rho, us in split.items()}, shift)
+            else:
                 low, high = sorted((-c * values[0], -c * values[-1]))
-                aheads[i] = (*lookup[i + 1], f, low, high, values[0] ** x, values[-1] ** x, abs(c))
+                probes[i] = (e, table, f, low, high, values[0] ** x, values[-1] ** x, abs(c))
         parts = {}  # modulus m -> {residue: the values in that class mod m}
 
         def forced(i):
@@ -304,16 +337,29 @@ class _Plan:
         def dfs(i):
             # i is the root or a position no equation fixes; the earlier
             # variables are set, so each power of i has a known coefficient k
+            lo = a[prev[i]]
+            if masks[i]:
+                # the values v >= lo of i whose next variable w is in the
+                # class: key u * k + rho = s * res + k * v, so v = u - d
+                # where d * k + rho = s * res; bit u - shift becomes bit v
+                e, s, k, split, shift = masks[i]
+                d, rho = divmod(s * res[e], k)
+                hits = split.get(rho, 0)
+                hits = (hits >> d - shift if d >= shift else hits << shift - d) & held
+                hits = hits >> lo << lo
+                if not hits:
+                    return
             fed = [(s, res[t], x) for s, t, x in feeds[i]]
             checks = [(e, [(res[t], x) for t, x in own]) for e, own in solved[i]]
             # when a pivot fixes the next variable and v enters its equation
             # through one power, a miss there rejects v before it is placed
-            ahead = aheads[i] is not None
+            ahead = probes[i] is not None
             if ahead:
-                ae, atable, f, low, high, bottom, top, c = aheads[i]
+                ae, atable, f, low, high, bottom, top, c = probes[i]
                 _, ak, ax = fed[f]
-            lo = a[prev[i]]
-            if fixing[i]:  # the root
+            if masks[i]:
+                cands, spend = _members(hits), nodes.spend
+            elif fixing[i]:  # the root
                 w = forced(i)
                 cands, spend = ((w,) if w else ()), None
             else:
@@ -418,6 +464,27 @@ def _plan_order(signs, n):
     return order
 
 
+def _bitmask(bits):
+    """The integer whose set bits are `bits`, nonnegative integers."""
+    b = bytearray((max(bits) >> 3) + 1)
+    for v in bits:
+        b[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(b, "little")
+
+
+def _members(m):
+    """The positions of the set bits of the integer m >= 0, ascending, read
+    from its binary digits: the cost grows with the bit length plus the
+    number of set bits, not with their product."""
+    s = bin(m)
+    top, j = len(s) - 1, len(s)
+    while True:
+        j = s.rfind("1", 2, j)
+        if j < 0:
+            return
+        yield top - j
+
+
 def _iroot(t, x):
     """The floor of the x-th root of the integer t >= 1."""
     if x == 1:
@@ -506,11 +573,11 @@ def _value_sets(sys, N, nodes):
 def _solution_index(sys, M, nodes):
     """The solution hypergraph on [1..M], indexed by second-largest member,
     and the bitmask of the integers k whose one-member set {k} is a value
-    set.  Entry j of the index holds, for each value set of two or more
-    members whose second-largest member is j, the pair (rest, u): u is the
-    set's maximum and rest the bitmask of its members below j (bit v stands
-    for the integer v)."""
-    index = [set() for _ in range(M + 1)]
+    set (bit v stands for the integer v).  Entry j of the index is the
+    `_index_entry` of the pairs (rest, u) of the value sets of two or more
+    members whose second-largest member is j: u is the set's maximum and
+    rest the bitmask of its members below j."""
+    sets = [set() for _ in range(M + 1)]
     single = 0
     for s in _value_sets(sys, M, nodes):
         if len(s) == 1:
@@ -519,17 +586,47 @@ def _solution_index(sys, M, nodes):
         rest = 0
         for v in s[:-2]:
             rest |= 1 << v
-        index[s[-2]].add((rest, s[-1]))
-    return [tuple(e) for e in index], single
+        sets[s[-2]].add((rest, s[-1]))
+    return [_index_entry(e) for e in sets], single
 
 
-def _forbid(f, entries, mask):
-    """The forbid mask f of a color after its class grows to `mask` by the
-    integer j whose index entries are `entries`: each set with all its
-    members below j in the class forbids the color at its maximum."""
+def _index_entry(entries):
+    """The distinct pairs (rest, u) of bitmask and integer, as the tables
+    `_forbid` reads: (count, pairs, keys, by_member, rests).  count is the
+    number of pairs; pairs the bitmask of the u whose rest is empty;
+    by_member maps each rest of one member to the bitmask of its u, and keys
+    is the OR of those rests; rests holds (rest, bitmask of its u) for the
+    rests of two or more members, which only systems of four or more
+    variables have."""
+    pairs = keys = 0
+    by_member, rests = {}, {}
     for rest, u in entries:
+        if not rest:
+            pairs |= 1 << u
+        elif rest & (rest - 1):
+            rests[rest] = rests.get(rest, 0) | 1 << u
+        else:
+            keys |= rest
+            by_member[rest] = by_member.get(rest, 0) | 1 << u
+    return len(entries), pairs, keys, by_member, tuple(rests.items())
+
+
+def _forbid(f, entry, mask):
+    """The forbid mask f of a color after its class grows to `mask` by the
+    integer j whose `_index_entry` is `entry`: each set with all its members
+    below j in the class forbids the color at its maximum.  The sets with
+    no member below j forbid it at once; of those with one, only the
+    members in the class are looked up."""
+    _, pairs, keys, by_member, rests = entry
+    f |= pairs
+    hit = mask & keys
+    while hit:
+        bit = hit & -hit
+        f |= by_member[bit]
+        hit ^= bit
+    for rest, ubits in rests:
         if rest & mask == rest:
-            f |= 1 << u
+            f |= ubits
     return f
 
 
@@ -560,12 +657,14 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
     removes the first prefix to reach a new depth.
 
     The value sets are enumerated once per range [1..M]: M starts at
-    min(N, 8) and doubles, up to N, when the search first goes deeper than
-    M; the forbid masks of the current prefix are then recomputed from the
-    new index.  The search's lists grow with M, not with N.  `nodes` counts
-    enumeration steps, colors tried and value sets examined while forbidding
-    colors, all charged to `budget.node_limit`.  A search whose budget runs
-    out during an enumeration never reports a value.
+    min(N, 8) and grows by half (to M * 3 // 2), up to N, when the search
+    first goes deeper than M; the forbid masks of the current prefix are
+    then recomputed from the new index.  The search's lists grow with M,
+    not with N.  `nodes` counts enumeration steps, colors tried and value
+    sets examined while forbidding colors (the count of each index entry
+    read, whichever of its sets the tables let `_forbid` skip), all charged
+    to `budget.node_limit`.  A search whose budget runs out during an
+    enumeration never reports a value.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -602,7 +701,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                 exhausted = True
                 break
             if k > M:
-                grown = min(N, max(8, 2 * M))
+                grown = min(N, max(8, M * 3 // 2))
                 index, single = _solution_index(sys, grown, nodes)
                 for a in (colors, undo, next_color, used):
                     a.extend([0] * (grown - M))
@@ -614,7 +713,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                 for d in range(1, k):
                     cd = colors[d]
                     undo[d] = forb[cd]
-                    nodes.count += len(index[d])
+                    nodes.count += index[d][0]
                     forb[cd] = _forbid(forb[cd], index[d], masks[cd])
             f = forb[c]
             if f >> k & 1:
@@ -622,7 +721,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
             colors[k] = c
             undo[k] = f
             mask = masks[c] = masks[c] | 1 << k
-            nodes.count += len(index[k])
+            nodes.count += index[k][0]
             f = forb[c] = _forbid(f, index[k], mask)
             if k > len(best):
                 best = tuple(colors[1 : k + 1])
@@ -671,28 +770,33 @@ def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = CNF_TUPLE
     if r < 1 or N < 1:
         raise ValueError("r and N must be positive")
     truncated = False
-    tuples = set()
+    tuples = {}  # the value sets, once each, in enumeration order
     try:
         for value_set in _value_sets(sys, N, _Nodes(tuple_limit)):
-            tuples.add(value_set)
+            tuples[value_set] = None
     except BudgetExhausted:
         truncated = True
     nclauses = N * (1 + r * (r - 1) // 2) + r * len(tuples)
-    lines = [
+    head = [
         f"c avoiding-coloring instance for system {sys.name!r}, r={r}, N={N}",
         "c variable numbering: v(n,c) = (n-1)*r + c + 1",
     ]
     if truncated:
-        lines.append(CNF_TRUNCATED)
-    lines.append(f"p cnf {N * r} {nclauses}")
-    # neg[c][n]: the literal "not v(n,c)", whose tail [1:] is v(n,c)
-    neg = [[""] + [f"-{(n - 1) * r + c + 1}" for n in range(1, N + 1)] for c in range(r)]
+        head.append(CNF_TRUNCATED)
+    head.append(f"p cnf {N * r} {nclauses}")
+    # pos[c][n] and neg[c][n]: the literals v(n,c) and "not v(n,c)", each
+    # with the space that follows it in a clause
+    pos = [[""] + [f"{(n - 1) * r + c + 1} " for n in range(1, N + 1)] for c in range(r)]
+    neg = [["-" + lit for lit in row] for row in pos]
+    out = ["\n".join(head), "\n"]
     for n in range(1, N + 1):
-        lines.append(" ".join([neg[c][n][1:] for c in range(r)]) + " 0")
+        out += [row[n] for row in pos]
+        out.append("0\n")
         for c1 in range(r):
             for c2 in range(c1 + 1, r):
-                lines.append(f"{neg[c1][n]} {neg[c2][n]} 0")
+                out += (neg[c1][n], neg[c2][n], "0\n")
     for tup in sorted(tuples):
         for row in neg:
-            lines.append(" ".join(map(row.__getitem__, tup)) + " 0")
-    return "\n".join(lines) + "\n"
+            out += map(row.__getitem__, tup)
+            out.append("0\n")
+    return "".join(out)

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from radolab import systems
 from radolab.cli import MAX_RANGE, _apply_distinct, main
 from radolab.colorings import poly_vdw_witness, random_coloring
 from radolab.polyring import poly_parse
@@ -309,12 +310,12 @@ def test_solve_json_reports_nodes_on_every_outcome(capsys, tmp_path):
     argv = ["solve", "ap-times-power(2,2,3)", "--coloring", "parity", "--range", "24"]
     code, payload = run_json(capsys, argv)
     assert (code, payload["outcome"]["nodes"]) == (0, 502)
-    # none in range: each x, then each y >= x with x + y between the least
-    # and the greatest member of the class: (1, 1) in {1, 4}, none in {2, 3}
+    # none in range: each x, then each y >= x with x + y in the class, none
+    # in {1, 4} or {2, 3}
     path = tmp_path / "four.col"
     path.write_text("4 2\n0 1 1 0\n")
     code, payload = run_json(capsys, ["solve", "schur", "--coloring", str(path), "--range", "4"])
-    assert (code, payload["outcome"]) == (1, {"solution": None, "nodes": 2 + 1 + 2 + 0})
+    assert (code, payload["outcome"]) == (1, {"solution": None, "nodes": 2 + 0 + 2 + 0})
     # the budget runs out at the node past the limit
     code, payload = run_json(capsys, argv + ["--budget-nodes", "100"])
     assert (code, payload["outcome"]) == (3, {"budget_exhausted": True, "nodes": 101})
@@ -363,9 +364,9 @@ def test_rado_number_reports_pruned(capsys):
     argv = ["rado-number", "schur", "--colors", "3", "--range", "20"]
     code, out, _ = run(capsys, argv)
     assert code == 0
-    assert out == "RADO-NUMBER 14 (avoider for N=13 attached, nodes=1858, pruned=86)\n"
+    assert out == "RADO-NUMBER 14 (avoider for N=13 attached, nodes=2068, pruned=85)\n"
     code, payload = run_json(capsys, argv)
-    assert payload["outcome"]["pruned"] == 86
+    assert payload["outcome"]["pruned"] == 85
 
 
 @pytest.mark.parametrize("huge", [str(10**20), str(10**15)])
@@ -585,6 +586,26 @@ def test_construct_thm37_reports_elapsed(capsys, tmp_path):
     code, payload = run_json(capsys, argv)
     assert code == 0
     assert payload["elapsed_s"] > 0
+
+
+def test_construction_elapsed_includes_the_construction(capsys, monkeypatch, matrix_file):
+    # the clock advances only inside the construction, so elapsed_s is
+    # exactly the construction's time
+    clock = [100.0]
+    monkeypatch.setattr("radolab.cli.time.perf_counter", lambda: clock[0])
+    for name in ("construct_thm34", "construct_thm37"):
+        def slow(*args, _construct=getattr(systems, name)):
+            clock[0] += 5
+            return _construct(*args)
+
+        monkeypatch.setattr(systems, name, slow)
+    runs = [
+        ["construct-thm34", "--a-list", "1", "--a", "5", "--d", "1", "--polys", "z^2"],
+        ["construct-thm37", matrix_file("1 1 -1"), "--kernel-vec", "1,1,2", "--a", "10", "--d", "2", "--polys", "z^2"],
+    ]
+    for argv in runs:
+        code, payload = run_json(capsys, argv)
+        assert (code, payload["elapsed_s"]) == (0, 5.0), argv[0]
 
 
 def test_construct_thm37_picks_a_kernel_vector_with_x_n_nonzero(capsys, matrix_file):
@@ -917,7 +938,9 @@ GOLDEN = [
         1,
         "NONE-IN-RANGE [1..600] [status=unknown]\n",
         {"coloring": "rado-avoider(1,1,-3;5)", "colors": 4, "status": "unknown", "system": "equation(1,1,-3)"},
-        {"nodes": 15700, "solution": None},
+        # a node per x; the colouring avoids x + y = 3z, so no y has its z
+        # in x's class and none is tried
+        {"nodes": 600, "solution": None},
         (600, None),
     ),
     (

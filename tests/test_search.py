@@ -17,6 +17,8 @@ from radolab.search import (
     SolutionRecord,
     _Nodes,
     _Plan,
+    _forbid,
+    _index_entry,
     _iroot,
     _value_sets,
     export_cnf,
@@ -129,14 +131,14 @@ def test_node_budget_boundary():
     c = rado_avoider_coloring((1, 1, -3), 5).coloring(200)
     classes = [[k for k in range(1, 201) if c.color_of(k) == color] for color in range(c.r)]
     # the values of x, then the values of y from x's on (x and y are
-    # interchangeable, so y >= x); a y with x + y below 3 * min(class)
-    # leaves z outside the class, and a y with x + y not a multiple of 3
-    # leaves z fractional: both are cut before they are tried
+    # interchangeable, so y >= x) whose z = (x + y) / 3 is in the class; the
+    # others are cut before they are tried.  The coloring avoids the
+    # equation, so no y is tried.
     spent = sum(
-        len(cls) + sum(1 for x in cls for y in cls if y >= x and x + y >= 3 * cls[0] and (x + y) % 3 == 0)
+        len(cls) + sum(1 for x in cls for y in cls if y >= x and (x + y) % 3 == 0 and (x + y) // 3 in cls)
         for cls in classes
     )
-    assert spent == 1902
+    assert spent == 200
     assert find_mono_solution(sys, c, _budget(200, nodes=spent)) is None
     with pytest.raises(BudgetExhausted):
         find_mono_solution(sys, c, _budget(200, nodes=spent - 1))
@@ -453,8 +455,9 @@ def test_value_sets_nodes_of_x1_to_x4_summing_to_x5():
 def test_cut_charges_only_values_whose_solved_value_is_in_the_class():
     # a class with gaps; z is solved from the equation, so a node is one
     # value of x plus one value of y (y >= x where they are interchangeable)
-    # whose solved z lies between the least and the greatest member
-    # and, when y enters linearly, is an integer
+    # whose solved z is in the class when y enters linearly with a constant
+    # coefficient, and lies between the least and the greatest member when
+    # it enters as a power
     values = [2, 3, 5, 7, 11, 13, 17]
     x, y, z = ({v: 1} for v in "xyz")
     # (equation, interchangeable pair or None, z solved from x and y)
@@ -473,13 +476,98 @@ def test_cut_charges_only_values_whose_solved_value_is_in_the_class():
         tried = [(a, b) for a in values for b in values if pair != (0, 1) or b >= a]
         linear = ("y", 1) in [p for _, m in eq.terms for p in m.exps]
         expect = len(values) + sum(
-            1 for a, b in tried if values[0] <= solve(a, b) <= values[-1] and (not linear or solve(a, b) % 1 == 0)
+            1 for a, b in tried if (solve(a, b) in values if linear else values[0] <= solve(a, b) <= values[-1])
         )
         nodes = _Nodes(None)
         got = list(_Plan(_system("xyz", eq)).solutions(values, nodes))
         assert nodes.count == expect, eq
         sols = [[a, b, solve(a, b)] for a, b in tried if solve(a, b) in values]
         assert got == [s for s in sols if not pair or s[pair[0]] <= s[pair[1]]], eq
+
+
+def test_constant_coefficient_tries_only_values_whose_solved_value_is_in_the_class():
+    # a x + k y + b + c z = 0 with k a constant: y's candidates come from
+    # the bitmask of the class, so a node is one value of x plus one value
+    # of y (y >= x where they are interchangeable) whose solved z is a
+    # member of the class; the solutions are those (x, y, z), one per orbit,
+    # under every distinctness policy
+    rng = random.Random(16)
+    nonzero = [-4, -3, -2, -1, 1, 2, 3, 4]
+    masked = 0
+    for _ in range(400):
+        a, k, c = rng.choice(nonzero), rng.choice(nonzero), rng.choice(nonzero)
+        b = rng.randint(-8, 8)
+        terms = [(a, {"x": 1}), (k, {"y": 1}), (c, {"z": 1})] + ([(b, {})] if b else [])
+        sys = dataclasses.replace(_system("xyz", _eq(*terms)), distinctness=rng.choice(DISTINCTNESS))
+        N = rng.randint(1, 30)
+        values = sorted(rng.sample(range(1, N + 1), rng.randint(1, N)))
+        plan = _Plan(sys)
+        assert plan.aheads[1][2] == k, sys
+        ordered = any("x" in cls and "y" in cls for cls in plan.classes)
+        tried = [(x, y) for x in values for y in values if not ordered or y >= x]
+        # z solves the equation directly, independently of the search
+        hits = [(x, y, -(a * x + k * y + b) // c) for x, y in tried if -(a * x + k * y + b) % c == 0]
+        hits = [h for h in hits if h[2] in values]
+        nodes = _Nodes(None)
+        got = list(plan.solutions(values, nodes))
+        assert nodes.count == len(values) + len(hits), (sys, values)
+        least = {"allow-repeats": 1, "nontrivial": 2, "all-distinct": 3}[sys.distinctness]  # distinct values
+        expect = [
+            list(h) for h in hits
+            if len(set(h)) >= least
+            and all(h["xyz".index(u)] <= h["xyz".index(v)] for cls in plan.classes for u, v in zip(cls, cls[1:]))
+        ]
+        assert got == expect, (sys, values)
+        masked += len(hits) < len(tried)
+    # the cut removed candidates in most cases
+    assert masked > 300
+
+
+def test_product_coefficient_keeps_the_probe():
+    # y of x * y = z has the coefficient x, a placed value, so the mask
+    # does not apply: y runs over the values whose x * y lies between the
+    # least and the greatest member, and each costs a node whether or not
+    # x * y is a member
+    values = [3, 4, 5, 6, 7, 8, 10, 14, 16, 21, 24, 26, 27, 28, 33, 35, 36, 38, 42, 44, 45, 49, 53, 55, 56]
+    plan = _Plan(mult_schur_system())
+    assert plan.aheads[1][2] is None
+    nodes = _Nodes(None)
+    got = list(plan.solutions(values, nodes))
+    spent = len(values) + sum(1 for x in values for y in values if y >= x and 3 <= x * y <= 56)
+    assert nodes.count == spent == 51
+    assert got == [[x, y, x * y] for x in values for y in values if y >= x and x * y in values]
+    # x * y = 3z keeps the residue cut too: where 3 does not divide x, y
+    # runs over the multiples of 3
+    plan = _Plan(_system("xyz", _eq((1, {"x": 1, "y": 1}), (-3, {"z": 1}))))
+    assert plan.aheads[1][2] is None
+    nodes = _Nodes(None)
+    got = list(plan.solutions(values, nodes))
+    spent = len(values) + sum(1 for x in values for y in values if y >= x and 9 <= x * y <= 168 and x * y % 3 == 0)
+    assert nodes.count == spent == 76
+    assert got == [[x, y, x * y // 3] for x in values for y in values if y >= x and x * y / 3 in values]
+
+
+def test_forbid_tables_match_the_subset_loop():
+    # the forbid mask from the tables of one index entry equals the naive
+    # loop over its pairs (rest, u), rest a bitmask of members below j
+    rng = random.Random(17)
+    for _ in range(2000):
+        j = rng.randint(1, 24)
+        entries = set()
+        for _ in range(rng.randint(0, 12)):
+            rest = 0
+            for v in rng.sample(range(1, j), min(j - 1, rng.choice([0, 0, 1, 1, 1, 2, 3]))):
+                rest |= 1 << v
+            entries.add((rest, rng.randint(j + 1, j + 20)))
+        mask = 1 << j | rng.getrandbits(j + 1) & ~1
+        f = rng.getrandbits(j + 24)
+        expect = f
+        for rest, u in entries:
+            if rest & mask == rest:
+                expect |= 1 << u
+        entry = _index_entry(entries)
+        assert entry[0] == len(entries)
+        assert _forbid(f, entry, mask) == expect, (entries, mask)
 
 
 def test_iroot_is_the_floor_of_the_root():
@@ -577,18 +665,24 @@ def test_rado_number_trivial_r1():
 
 
 def test_rado_number_node_counts():
-    # the counts perfbench/counts.py reports; a change of node unit moves them
+    # the counts perfbench/counts.py reports; a change of node unit moves them.
+    # Schur with r=3 has value 14, so M grows 8, 12, 18 and [1..8], [1..12]
+    # and [1..18] are enumerated: M values of x, then the y >= x with
+    # x + y <= M; the other 1,897 nodes are colors tried and value sets
+    # examined
     res = rado_number(schur_system(), 3, _budget(60))
-    assert (res.nodes, res.pruned) == (1858, 86)
-    # x + y = 3z has value 9, so [1..8] and [1..16] are enumerated: M values
+    enumerated = sum(M + sum(1 for x in range(1, M + 1) for y in range(x, M + 1 - x)) for M in (8, 12, 18))
+    assert (enumerated, res.nodes - enumerated, res.pruned) == (171, 1897, 85)
+    assert res.nodes == 2068
+    # x + y = 3z has value 9, so [1..8] and [1..12] are enumerated: M values
     # of x, then the y >= x with x + y a multiple of 3 (3z <= 2M < 3M, so
-    # no other cut applies); the other 69 nodes are colors tried and value
+    # no other cut applies); the other 55 nodes are colors tried and value
     # sets examined
     res = rado_number(single_equation([1, 1, -3]), 2, _budget(60))
     enumerated = sum(
-        M + sum(1 for x in range(1, M + 1) for y in range(x, M + 1) if (x + y) % 3 == 0) for M in (8, 16)
+        M + sum(1 for x in range(1, M + 1) for y in range(x, M + 1) if (x + y) % 3 == 0) for M in (8, 12)
     )
-    assert (enumerated, res.nodes - enumerated, res.pruned) == (81, 69, 1)
+    assert (enumerated, res.nodes - enumerated, res.pruned) == (58, 55, 1)
 
 
 def test_rado_number_one_member_sets_forbid_every_color():
@@ -604,9 +698,10 @@ def test_rado_number_one_member_sets_forbid_every_color():
 
 
 def test_rado_number_across_index_growth():
-    # the value sets are enumerated over [1..8], then [1..16] (Schur) and
-    # [1..32] (x + 3y = z); each growth recomputes the forbid masks of the
-    # prefix, and the first avoider of the longest length is attached
+    # the value sets are enumerated over [1..8], then [1..12] and [1..18]
+    # (Schur) and [1..27] (x + 3y = z); each growth recomputes the forbid
+    # masks of the prefix, and the first avoider of the longest length is
+    # attached
     for sys, r, value in ((schur_system(), 3, 14), (single_equation([1, 3, -1]), 2, 19)):
         res = rado_number(sys, r, _budget(40))
         assert res.value == value and not res.exhausted, sys.name
