@@ -245,7 +245,11 @@ class _Plan:
         keys -sign(k) * c * w, split by residue mod |k| and each part
         divided by |k|, are bitmasks built once per call, and the
         candidates are one shift of the part of res's residue, ANDed with
-        the values.  Otherwise the solved w moves monotonically with v, so
+        the values.  The masks are built only when the values have a gap,
+        since on an interval the cuts below leave just those v, and when they
+        take at most _MASK_BITS bits per value: they span about |c / k|
+        times the range of the values, so a sparse class or a large |c / k|
+        keeps the cuts below.  Otherwise the solved w moves monotonically with v, so
         the values of v that put -res outside the span of c * w over the
         class form a prefix and a suffix of the candidates, cut by
         bisection.  And when x = 1, w is an integer only if
@@ -263,14 +267,16 @@ class _Plan:
         a = [0] * n  # a[i]: value of the variable at plan position i, 0 while unset
         # residual -> value for each pivot: residual + c * v = 0
         lookup = [f and f[3] and (f[0], {-f[3] * w: w for w in values}) for f in fixing]
-        # per position i with an ahead (see `_Plan`) whose k is a constant:
+        # per position i with an ahead (see `_Plan`) whose k is a constant,
+        # when the values have a gap and the masks fit in _MASK_BITS bits per
+        # value:
         # masks[i] = (the equation, sign(k), |k|, {residue: part}, shift),
         # where bit u - shift of the part of residue rho stands for the key
         # u * |k| + rho; else probes[i] = (the equation, its table, the
         # power's place in feeds[i], the table's least and greatest key, the
         # least and greatest value to the power x, and |c|)
         masks, probes = [None] * n, [None] * n
-        held = _bitmask(values) if any(h and h[2] for h in self.aheads) else 0
+        held = None  # the bitmask of the values, built with the first mask
         for i, h in enumerate(self.aheads):
             if h is None:
                 continue
@@ -278,17 +284,22 @@ class _Plan:
             e, table = lookup[i + 1]
             c = fixing[i + 1][3]
             if k:
-                s = 1 if k > 0 else -1
-                keys = [-s * c * w for w in values]
-                shift = min(keys[0], keys[-1]) // abs(k)
-                split = {}
-                for q in keys:
-                    u, rho = divmod(q, abs(k))
-                    split.setdefault(rho, []).append(u - shift)
-                masks[i] = (e, s, abs(k), {rho: _bitmask(us) for rho, us in split.items()}, shift)
-            else:
-                low, high = sorted((-c * values[0], -c * values[-1]))
-                probes[i] = (e, table, f, low, high, values[0] ** x, values[-1] ** x, abs(c))
+                s, k = (1 if k > 0 else -1), abs(k)
+                low, high = sorted((-s * c * values[0], -s * c * values[-1]))
+                shift = low // k
+                # the bits of the parts, each spanning [low, high] / k, and of held
+                size = min(k, len(values)) * (high // k - shift + 1) + values[-1] + 1
+                if values[-1] - values[0] >= len(values) and size <= _MASK_BITS * len(values):
+                    split = {}
+                    for w in values:
+                        u, rho = divmod(-s * c * w, k)
+                        split.setdefault(rho, []).append(u - shift)
+                    masks[i] = (e, s, k, {rho: _bitmask(us) for rho, us in split.items()}, shift)
+                    if held is None:
+                        held = _bitmask(values)
+                    continue
+            low, high = sorted((-c * values[0], -c * values[-1]))
+            probes[i] = (e, table, f, low, high, values[0] ** x, values[-1] ** x, abs(c))
         parts = {}  # modulus m -> {residue: the values in that class mod m}
 
         def forced(i):
@@ -464,6 +475,13 @@ def _plan_order(signs, n):
     return order
 
 
+# the most bits per value of the class that the masks of one
+# `_Plan.solutions` call may take: as many as a list of the values takes in
+# pointers, so a mask costs no more memory than the probe's table, and one
+# shift and AND of it costs about one word operation per value
+_MASK_BITS = 64
+
+
 def _bitmask(bits):
     """The integer whose set bits are `bits`, nonnegative integers."""
     b = bytearray((max(bits) >> 3) + 1)
@@ -573,11 +591,11 @@ def _value_sets(sys, N, nodes):
 def _solution_index(sys, M, nodes):
     """The solution hypergraph on [1..M], indexed by second-largest member,
     and the bitmask of the integers k whose one-member set {k} is a value
-    set (bit v stands for the integer v).  Entry j of the index is the
-    `_index_entry` of the pairs (rest, u) of the value sets of two or more
-    members whose second-largest member is j: u is the set's maximum and
-    rest the bitmask of its members below j."""
-    sets = [set() for _ in range(M + 1)]
+    set.  Entry j of the index holds, for each value set of two or more
+    members whose second-largest member is j, the pair (rest, u): u is the
+    set's maximum and rest the bitmask of its members below j (bit v stands
+    for the integer v)."""
+    index = [set() for _ in range(M + 1)]
     single = 0
     for s in _value_sets(sys, M, nodes):
         if len(s) == 1:
@@ -586,47 +604,17 @@ def _solution_index(sys, M, nodes):
         rest = 0
         for v in s[:-2]:
             rest |= 1 << v
-        sets[s[-2]].add((rest, s[-1]))
-    return [_index_entry(e) for e in sets], single
+        index[s[-2]].add((rest, s[-1]))
+    return [tuple(e) for e in index], single
 
 
-def _index_entry(entries):
-    """The distinct pairs (rest, u) of bitmask and integer, as the tables
-    `_forbid` reads: (count, pairs, keys, by_member, rests).  count is the
-    number of pairs; pairs the bitmask of the u whose rest is empty;
-    by_member maps each rest of one member to the bitmask of its u, and keys
-    is the OR of those rests; rests holds (rest, bitmask of its u) for the
-    rests of two or more members, which only systems of four or more
-    variables have."""
-    pairs = keys = 0
-    by_member, rests = {}, {}
-    for rest, u in entries:
-        if not rest:
-            pairs |= 1 << u
-        elif rest & (rest - 1):
-            rests[rest] = rests.get(rest, 0) | 1 << u
-        else:
-            keys |= rest
-            by_member[rest] = by_member.get(rest, 0) | 1 << u
-    return len(entries), pairs, keys, by_member, tuple(rests.items())
-
-
-def _forbid(f, entry, mask):
+def _forbid(f, entries, mask):
     """The forbid mask f of a color after its class grows to `mask` by the
-    integer j whose `_index_entry` is `entry`: each set with all its members
-    below j in the class forbids the color at its maximum.  The sets with
-    no member below j forbid it at once; of those with one, only the
-    members in the class are looked up."""
-    _, pairs, keys, by_member, rests = entry
-    f |= pairs
-    hit = mask & keys
-    while hit:
-        bit = hit & -hit
-        f |= by_member[bit]
-        hit ^= bit
-    for rest, ubits in rests:
+    integer j whose index entries are `entries`: each set with all its
+    members below j in the class forbids the color at its maximum."""
+    for rest, u in entries:
         if rest & mask == rest:
-            f |= ubits
+            f |= 1 << u
     return f
 
 
@@ -661,9 +649,8 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
     first goes deeper than M; the forbid masks of the current prefix are
     then recomputed from the new index.  The search's lists grow with M,
     not with N.  `nodes` counts enumeration steps, colors tried and value
-    sets examined while forbidding colors (the count of each index entry
-    read, whichever of its sets the tables let `_forbid` skip), all charged
-    to `budget.node_limit`.  A search whose budget runs out during an
+    sets examined while forbidding colors, all charged to
+    `budget.node_limit`.  A search whose budget runs out during an
     enumeration never reports a value.
     """
     if r < 1:
@@ -713,7 +700,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                 for d in range(1, k):
                     cd = colors[d]
                     undo[d] = forb[cd]
-                    nodes.count += index[d][0]
+                    nodes.count += len(index[d])
                     forb[cd] = _forbid(forb[cd], index[d], masks[cd])
             f = forb[c]
             if f >> k & 1:
@@ -721,7 +708,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
             colors[k] = c
             undo[k] = f
             mask = masks[c] = masks[c] | 1 << k
-            nodes.count += index[k][0]
+            nodes.count += len(index[k])
             f = forb[c] = _forbid(f, index[k], mask)
             if k > len(best):
                 best = tuple(colors[1 : k + 1])

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from radolab.colorings import Coloring, all_one_coloring, parity_coloring, rado_avoider_coloring, random_coloring
+from radolab import search
 from radolab.polyring import poly_parse
 from radolab.search import (
     BudgetExhausted,
@@ -17,8 +18,7 @@ from radolab.search import (
     SolutionRecord,
     _Nodes,
     _Plan,
-    _forbid,
-    _index_entry,
+    _bitmask,
     _iroot,
     _value_sets,
     export_cnf,
@@ -140,6 +140,18 @@ def test_node_budget_boundary():
     )
     assert spent == 200
     assert find_mono_solution(sys, c, _budget(200, nodes=spent)) is None
+    with pytest.raises(BudgetExhausted):
+        find_mono_solution(sys, c, _budget(200, nodes=spent - 1))
+    # with 200 recolored 3, (100, 200, 100) is a solution in the last class:
+    # the budget runs out at its y, a candidate the mask found
+    c = Coloring(N=200, r=c.r, colors=c.colors[:-1] + (3,))
+    cls = [k for k in range(1, 201) if c.color_of(k) == 3]
+    tried = [(x, y) for x in cls for y in cls if y >= x and (x + y) % 3 == 0 and (x + y) // 3 in cls]
+    assert tried == [(100, 200)]
+    spent = 200 - len(cls) + cls.index(100) + 1 + len(tried)
+    assert spent == 176
+    rec = find_mono_solution(sys, c, _budget(200, nodes=spent))
+    assert (rec.color, rec.assignment) == (3, {"v1": 100, "v2": 200, "v3": 100})
     with pytest.raises(BudgetExhausted):
         find_mono_solution(sys, c, _budget(200, nodes=spent - 1))
     # in a polynomial system too: z of x*y = z is solved, so (1, 1, 1) costs 2
@@ -487,10 +499,11 @@ def test_cut_charges_only_values_whose_solved_value_is_in_the_class():
 
 def test_constant_coefficient_tries_only_values_whose_solved_value_is_in_the_class():
     # a x + k y + b + c z = 0 with k a constant: y's candidates come from
-    # the bitmask of the class, so a node is one value of x plus one value
-    # of y (y >= x where they are interchangeable) whose solved z is a
-    # member of the class; the solutions are those (x, y, z), one per orbit,
-    # under every distinctness policy
+    # the bitmask of the class (or, on an interval, from the span and
+    # residue cuts, which leave the same values), so a node is one value of
+    # x plus one value of y (y >= x where they are interchangeable) whose
+    # solved z is a member of the class; the solutions are those (x, y, z),
+    # one per orbit, under every distinctness policy
     rng = random.Random(16)
     nonzero = [-4, -3, -2, -1, 1, 2, 3, 4]
     masked = 0
@@ -547,27 +560,46 @@ def test_product_coefficient_keeps_the_probe():
     assert got == [[x, y, x * y // 3] for x in values for y in values if y >= x and x * y / 3 in values]
 
 
-def test_forbid_tables_match_the_subset_loop():
-    # the forbid mask from the tables of one index entry equals the naive
-    # loop over its pairs (rest, u), rest a bitmask of members below j
-    rng = random.Random(17)
-    for _ in range(2000):
-        j = rng.randint(1, 24)
-        entries = set()
-        for _ in range(rng.randint(0, 12)):
-            rest = 0
-            for v in rng.sample(range(1, j), min(j - 1, rng.choice([0, 0, 1, 1, 1, 2, 3]))):
-                rest |= 1 << v
-            entries.add((rest, rng.randint(j + 1, j + 20)))
-        mask = 1 << j | rng.getrandbits(j + 1) & ~1
-        f = rng.getrandbits(j + 24)
-        expect = f
-        for rest, u in entries:
-            if rest & mask == rest:
-                expect |= 1 << u
-        entry = _index_entry(entries)
-        assert entry[0] == len(entries)
-        assert _forbid(f, entry, mask) == expect, (entries, mask)
+def test_masks_only_on_a_class_with_gaps_within_a_word_per_value(monkeypatch):
+    # x + y = c z on the odd values in [1..2m - 1]: y's key masks span about
+    # c (2m - 2) bits and the values' mask 2m, so they fit in 64 bits per
+    # value up to c = 31.  Up to there a node is one x plus one y whose z is
+    # in the class; from c = 32 on, y runs over the x + y divisible by c
+    # inside [c, c (2m - 1)] and each costs a node, whether z is odd or not
+    m = 500
+    values = list(range(1, 2 * m, 2))
+    odd = set(values)
+    built = []
+    monkeypatch.setattr(search, "_bitmask", lambda bits: built.append(max(bits)) or _bitmask(bits))
+    for c in (3, 31, 32, 1000):
+        built.clear()
+        plan = _Plan(single_equation([1, 1, -c]))
+        nodes = _Nodes(None)
+        got = list(plan.solutions(values, nodes))
+        pairs = [(x, y) for x in values for y in values if y >= x and (x + y) % c == 0]
+        masked = c <= 31
+        tried = [(x, y) for x, y in pairs if (x + y) // c in odd] if masked else pairs
+        assert nodes.count == m + len(tried), c
+        assert got == [[x, y, (x + y) // c] for x, y in pairs if (x + y) // c in odd], c
+        # the masks built: the keys' part and the values, or none
+        assert len(built) == (2 if masked else 0), c
+        assert all(b <= 64 * m for b in built), c
+    # on an interval the span and residue cuts leave only the y whose z is
+    # in the class, and no mask is built
+    built.clear()
+    nodes = _Nodes(None)
+    got = list(_Plan(single_equation([1, 1, -3])).solutions(list(range(1, m + 1)), nodes))
+    pairs = [(x, y) for x in range(1, m + 1) for y in range(x, m + 1) if (x + y) % 3 == 0]
+    assert nodes.count == m + len(pairs) and not built
+    assert got == [[x, y, (x + y) // 3] for x, y in pairs]
+    # without masks the budget runs out at the last y tried: for c = 1000,
+    # each x and then, below 500, the y = 1000 - x
+    plan = _Plan(single_equation([1, 1, -1000]))
+    spent = m + sum(1 for x in values for y in values if y >= x and (x + y) % 1000 == 0)
+    assert spent == 500 + 250
+    assert list(plan.solutions(values, _Nodes(spent))) == [[x, 1000 - x, 1] for x in range(1, 501, 2)]
+    with pytest.raises(BudgetExhausted):
+        list(plan.solutions(values, _Nodes(spent - 1)))
 
 
 def test_iroot_is_the_floor_of_the_root():
