@@ -245,11 +245,10 @@ class _Plan:
         keys -sign(k) * c * w, split by residue mod |k| and each part
         divided by |k|, are bitmasks built once per call, and the
         candidates are one shift of the part of res's residue, ANDed with
-        the values.  The masks are built only when the values have a gap,
-        since on an interval the cuts below leave just those v, and when they
-        take at most _MASK_BITS bits per value: they span about |c / k|
-        times the range of the values, so a sparse class or a large |c / k|
-        keeps the cuts below.  Otherwise the solved w moves monotonically with v, so
+        the values.  The masks span about |c / k| times the range of the
+        values, so they are built only when they take at most _MASK_BITS
+        bits per value; a sparse class or a large |c / k| keeps the cuts
+        below.  Otherwise the solved w moves monotonically with v, so
         the values of v that put -res outside the span of c * w over the
         class form a prefix and a suffix of the candidates, cut by
         bisection.  And when x = 1, w is an integer only if
@@ -268,8 +267,7 @@ class _Plan:
         # residual -> value for each pivot: residual + c * v = 0
         lookup = [f and f[3] and (f[0], {-f[3] * w: w for w in values}) for f in fixing]
         # per position i with an ahead (see `_Plan`) whose k is a constant,
-        # when the values have a gap and the masks fit in _MASK_BITS bits per
-        # value:
+        # when the masks fit in _MASK_BITS bits per value:
         # masks[i] = (the equation, sign(k), |k|, {residue: part}, shift),
         # where bit u - shift of the part of residue rho stands for the key
         # u * |k| + rho; else probes[i] = (the equation, its table, the
@@ -289,7 +287,7 @@ class _Plan:
                 shift = low // k
                 # the bits of the parts, each spanning [low, high] / k, and of held
                 size = min(k, len(values)) * (high // k - shift + 1) + values[-1] + 1
-                if values[-1] - values[0] >= len(values) and size <= _MASK_BITS * len(values):
+                if size <= _MASK_BITS * len(values):
                     split = {}
                     for w in values:
                         u, rho = divmod(-s * c * w, k)

@@ -499,11 +499,10 @@ def test_cut_charges_only_values_whose_solved_value_is_in_the_class():
 
 def test_constant_coefficient_tries_only_values_whose_solved_value_is_in_the_class():
     # a x + k y + b + c z = 0 with k a constant: y's candidates come from
-    # the bitmask of the class (or, on an interval, from the span and
-    # residue cuts, which leave the same values), so a node is one value of
-    # x plus one value of y (y >= x where they are interchangeable) whose
-    # solved z is a member of the class; the solutions are those (x, y, z),
-    # one per orbit, under every distinctness policy
+    # the bitmask of the class, so a node is one value of x plus one value
+    # of y (y >= x where they are interchangeable) whose solved z is a
+    # member of the class; the solutions are those (x, y, z), one per orbit,
+    # under every distinctness policy
     rng = random.Random(16)
     nonzero = [-4, -3, -2, -1, 1, 2, 3, 4]
     masked = 0
@@ -560,7 +559,7 @@ def test_product_coefficient_keeps_the_probe():
     assert got == [[x, y, x * y // 3] for x in values for y in values if y >= x and x * y / 3 in values]
 
 
-def test_masks_only_on_a_class_with_gaps_within_a_word_per_value(monkeypatch):
+def test_masks_only_where_they_fit_in_a_word_per_value(monkeypatch):
     # x + y = c z on the odd values in [1..2m - 1]: y's key masks span about
     # c (2m - 2) bits and the values' mask 2m, so they fit in 64 bits per
     # value up to c = 31.  Up to there a node is one x plus one y whose z is
@@ -584,14 +583,6 @@ def test_masks_only_on_a_class_with_gaps_within_a_word_per_value(monkeypatch):
         # the masks built: the keys' part and the values, or none
         assert len(built) == (2 if masked else 0), c
         assert all(b <= 64 * m for b in built), c
-    # on an interval the span and residue cuts leave only the y whose z is
-    # in the class, and no mask is built
-    built.clear()
-    nodes = _Nodes(None)
-    got = list(_Plan(single_equation([1, 1, -3])).solutions(list(range(1, m + 1)), nodes))
-    pairs = [(x, y) for x in range(1, m + 1) for y in range(x, m + 1) if (x + y) % 3 == 0]
-    assert nodes.count == m + len(pairs) and not built
-    assert got == [[x, y, (x + y) // 3] for x, y in pairs]
     # without masks the budget runs out at the last y tried: for c = 1000,
     # each x and then, below 500, the y = 1000 - x
     plan = _Plan(single_equation([1, 1, -1000]))
