@@ -78,3 +78,32 @@ def test_no_degree_zero_storage():
     with pytest.raises(ConstantTermError):
         Poly({0: 1})
     assert Poly({2: 0}).is_zero()
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("z^2 + z", {1: 1, 2: 1}),
+        ("0", {}),
+        ("z - 0", {1: 1}),  # the negated zero constant is dropped
+        ("-1/2 z^3 + 2*z", {1: 2, 3: Fraction(-1, 2)}),
+        ("z +", PolyParseError),
+        ("+", PolyParseError),
+        ("z ++ z", PolyParseError),
+        ("-", PolyParseError),
+        ("2 +", PolyParseError),
+        ("z^0", ConstantTermError),
+        ("1/0 z", ValueError),
+        ("z + w", PolyParseError),
+        ("z^2 + 1", ConstantTermError),
+    ],
+)
+def test_parse_corpus(text, expect):
+    # each accepted text with its coefficients, each refused text with the
+    # class of its exception
+    if isinstance(expect, dict):
+        assert poly_parse(text).coeffs == expect
+    else:
+        with pytest.raises(expect) as info:
+            poly_parse(text)
+        assert type(info.value) is expect
