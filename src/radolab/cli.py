@@ -360,7 +360,7 @@ def cmd_construct_thm34(args) -> int:
         d = parse_scalar(args.d)
         polys = _parse_poly_list(args.polys)
         assignments = systems.construct_thm34(a_list, b_list, a, d, polys)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     sys_ = systems.poly_sum_product(len(a_list), len(b_list) + 1, polys)
     inputs = {"a_list": args.a_list, "b_list": args.b_list, "a": args.a, "d": args.d, "polys": args.polys}

@@ -7,6 +7,7 @@ import random as _random
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import gcd, prod
+from operator import add, mul
 
 MAX_SEQ = 20
 MAX_SELECTORS = 10**6
@@ -68,26 +69,25 @@ def random_coloring(N: int, r: int, seed: int) -> Coloring:
 # FS / FP structures
 
 
-def fs(seq) -> set:
-    """All finite sums over nonempty index subsets of the sequence."""
+def _closure(seq, op) -> set:
+    """op folded over the entries of every nonempty index subset."""
     seq = list(seq)
     _check_seq(seq)
     out = set()
     for x in seq:
-        out |= {s + x for s in out}
+        out |= {op(s, x) for s in out}
         out.add(x)
     return out
+
+
+def fs(seq) -> set:
+    """All finite sums over nonempty index subsets of the sequence."""
+    return _closure(seq, add)
 
 
 def fp(seq) -> set:
     """All finite products over nonempty index subsets of the sequence."""
-    seq = list(seq)
-    _check_seq(seq)
-    out = set()
-    for x in seq:
-        out |= {s * x for s in out}
-        out.add(x)
-    return out
+    return _closure(seq, mul)
 
 
 def _check_seq(seq):
@@ -99,7 +99,9 @@ def _check_seq(seq):
         raise ValueError("entries must be positive")
 
 
-def _sets_selectors(sets):
+def _union(sets, op) -> set:
+    """Union of the op-closure over every selector tuple (one element per
+    set)."""
     sets = [sorted(s) for s in sets]
     if not sets or any(not s for s in sets):
         raise ValueError("need nonempty sets")
@@ -108,23 +110,20 @@ def _sets_selectors(sets):
         total *= len(s)
         if total > MAX_SELECTORS:
             raise ValueError("too many selector tuples")
-    return _iproduct(*sets)
+    out = set()
+    for tup in _iproduct(*sets):
+        out |= _closure(tup, op)
+    return out
 
 
 def fs_sets(sets) -> set:
     """Union of FS over every selector tuple (one element per set)."""
-    out = set()
-    for tup in _sets_selectors(sets):
-        out |= fs(tup)
-    return out
+    return _union(sets, add)
 
 
 def fp_sets(sets) -> set:
     """Union of FP over every selector tuple (one element per set)."""
-    out = set()
-    for tup in _sets_selectors(sets):
-        out |= fp(tup)
-    return out
+    return _union(sets, mul)
 
 
 def mixed_structure(a_seq, b_seq) -> set:
@@ -265,7 +264,6 @@ class RadoAvoider:
                 f"subset {bad} of coefficients has a sum sharing a factor with {p}; "
                 "the avoider construction does not apply"
             )
-        self.coeffs = tuple(coeffs)
         self.p = p
         self.r = p - 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple  # tuple of Scalar
@@ -36,13 +36,6 @@ def parse_scalar(token: str) -> Scalar:
             raise ValueError(f"zero denominator in {token!r}")
         return norm_scalar(Fraction(int(num), d))
     return int(token)
-
-
-def vector(entries: Iterable) -> Vector:
-    v = tuple(norm_scalar(e) for e in entries)
-    if not v:
-        raise ValueError("empty vector")
-    return v
 
 
 def is_zero_vector(v: Vector) -> bool:

@@ -7,7 +7,6 @@ These are the admissible perturbation polynomials: sparse, canonical
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .exactq import Scalar, norm_scalar, parse_scalar
 
@@ -38,10 +37,11 @@ class Poly:
     def __init__(self, coeffs=None):
         cleaned = {}
         for d, c in (coeffs or {}).items():
-            d = int(d)
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"a degree must be a positive integer, not {d!r}")
             if d < 1:
                 raise ConstantTermError("degree-0 term forbidden")
-            c = norm_scalar(c if isinstance(c, (int, Fraction)) else Fraction(c))
+            c = norm_scalar(c)
             if c != 0:
                 cleaned[d] = c
         object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
@@ -102,11 +102,9 @@ def poly_parse(text: str) -> Poly:
     # split into signed terms
     s = s.replace("-", "+-")
     raw = s.split("+")
-    if any(not c.strip() for c in raw[1:]) or (raw and raw[0].strip() == "" and len(raw) == 1):
+    if any(not c.strip() for c in raw[1:]):
         raise PolyParseError(f"dangling operator in {text!r}")
     chunks = [c.strip() for c in raw if c.strip()]
-    if not chunks:
-        raise PolyParseError(f"cannot parse {text!r}")
     coeffs: dict = {}
     var = None
     for chunk in chunks:

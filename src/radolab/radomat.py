@@ -221,19 +221,3 @@ def constant_solution(A: Matrix, b: Vector):
                 return None
     return 0 if d is None else d
 
-
-def schur_matrix() -> Matrix:
-    return Matrix([[1, 1, -1]])
-
-
-def van_der_waerden_matrix(m: int) -> Matrix:
-    """The m x (m+2) matrix whose kernel encodes (m+1)-term arithmetic
-    progressions: row i is (1, i, -e_i)."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    rows = []
-    for i in range(1, m + 1):
-        row = [1, i] + [0] * m
-        row[1 + i] = -1
-        rows.append(row)
-    return Matrix(rows)

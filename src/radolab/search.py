@@ -683,8 +683,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
             next_color[k] = c + 1
             nodes.count += 1  # nodes.spend() inline: this loop is the hot path
             if nodes.count > cap:
-                exhausted = True
-                break
+                raise BudgetExhausted
             if k > M:
                 grown = min(N, max(8, M * 3 // 2))
                 index, single = _solution_index(sys, grown, nodes)
@@ -740,16 +739,16 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
 # CNF export
 
 
-CNF_TUPLE_LIMIT = 200000  # default node limit of the enumeration behind export_cnf
+CNF_TUPLE_LIMIT = 200000  # node limit of the enumeration behind export_cnf
 CNF_TRUNCATED = "c WARNING: solution-tuple enumeration truncated; instance under-approximates"
 
 
-def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = CNF_TUPLE_LIMIT) -> str:
+def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
     """DIMACS CNF that is satisfiable iff an avoiding r-coloring of [1..N]
     exists.  Variables v(n,c) = (n-1)*r + c + 1; clauses give each integer
     exactly one color and block every solution tuple from being monochromatic.
 
-    When tuple enumeration hits `tuple_limit` nodes the instance is an
+    When tuple enumeration hits `CNF_TUPLE_LIMIT` nodes the instance is an
     under-approximation and carries the comment line `CNF_TRUNCATED`.
     """
     if r < 1 or N < 1:
@@ -757,7 +756,7 @@ def export_cnf(sys: EquationSystem, r: int, N: int, tuple_limit: int = CNF_TUPLE
     truncated = False
     tuples = {}  # the value sets, once each, in enumeration order
     try:
-        for value_set in _value_sets(sys, N, _Nodes(tuple_limit)):
+        for value_set in _value_sets(sys, N, _Nodes(CNF_TUPLE_LIMIT)):
             tuples[value_set] = None
     except BudgetExhausted:
         truncated = True

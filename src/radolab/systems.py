@@ -415,8 +415,6 @@ def construct_thm34(a_list, b_list, a, d, polys):
     for b in b_list:
         bprod *= b
     denom = s * bprod
-    if denom == 0:
-        raise ZeroDivisionError("(a_1+...+a_n) * b_1...b_{m-1} must be nonzero")
     shared = {}
     for j, aj in enumerate(a_list, start=1):
         shared[f"x{j}"] = norm_scalar(aj * bprod * a)

@@ -32,7 +32,6 @@ from radolab.radomat import (
     column_condition,
     column_condition_naive,
     validate_witness,
-    van_der_waerden_matrix,
 )
 from radolab.search import (
     SearchBudget,
@@ -104,7 +103,8 @@ def test_criterion_2_worked_examples():
     w = column_condition(Matrix([[1, 1, -1]]))
     ok &= w is not None and validate_witness(Matrix([[1, 1, -1]]), w)
     for m in (3, 4):
-        V = van_der_waerden_matrix(m)
+        # row i is (1, i, -e_i): the kernel encodes (m+1)-term progressions
+        V = Matrix([[1, i] + [-1 if j == i else 0 for j in range(1, m + 1)] for i in range(1, m + 1)])
         w = column_condition(V)
         ok &= w is not None and validate_witness(V, w)
     A = Matrix([[1, 2, -3], [2, -1, -1]])

@@ -107,3 +107,19 @@ def test_parse_corpus(text, expect):
         with pytest.raises(expect) as info:
             poly_parse(text)
         assert type(info.value) is expect
+
+
+def test_poly_takes_only_exact_coefficients_and_integer_degrees():
+    # coefficients go through norm_scalar, as in Matrix; degrees follow the
+    # rule for Monomial exponents: a positive int, not a bool
+    assert Poly({1: Fraction(4, 2)}).coeffs == {1: 2}
+    assert type(Poly({1: Fraction(4, 2)}).coeffs[1]) is int
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        Poly({1: 0.1})
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        Poly({1: "1/2"})
+    for degree in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            Poly({degree: 1})
+    with pytest.raises(ConstantTermError):
+        Poly({-1: 1})

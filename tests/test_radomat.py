@@ -12,16 +12,23 @@ from radolab.radomat import (
     column_condition_naive,
     constant_solution,
     expand_matrix,
-    schur_matrix,
     validate_witness,
-    van_der_waerden_matrix,
 )
 
 
+SCHUR = Matrix([[1, 1, -1]])
+
+
+def van_der_waerden_matrix(m):
+    """The m x (m+2) matrix whose kernel encodes (m+1)-term arithmetic
+    progressions: row i is (1, i, -e_i)."""
+    return Matrix([[1, i] + [-1 if j == i else 0 for j in range(1, m + 1)] for i in range(1, m + 1)])
+
+
 def test_schur_matrix_witness():
-    w = column_condition(schur_matrix())
+    w = column_condition(SCHUR)
     assert w == ColumnPartitionWitness(blocks=((1, 3), (2,)))
-    assert validate_witness(schur_matrix(), w)
+    assert validate_witness(SCHUR, w)
 
 
 def test_not_satisfied():
@@ -137,7 +144,7 @@ def test_column_permutation_invariance():
 
 
 def test_witness_validator_rejects_garbage():
-    A = schur_matrix()
+    A = SCHUR
     assert not validate_witness(A, ColumnPartitionWitness(((1, 2), (3,))))  # I1 not zero-sum
     assert not validate_witness(A, ColumnPartitionWitness(((1, 3),)))  # not covering
     assert not validate_witness(A, ColumnPartitionWitness(((1, 3), (2, 3))))  # overlap

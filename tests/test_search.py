@@ -593,6 +593,25 @@ def test_masks_only_where_they_fit_in_a_word_per_value(monkeypatch):
         list(plan.solutions(values, _Nodes(spent - 1)))
 
 
+def test_probe_skips_a_residual_that_the_gcd_does_not_divide(monkeypatch):
+    # x + 2y = 1000z on [1..1000]: y's masks would take about 1000 bits per
+    # value, so y keeps the probe, and 1000 divides x + 2y only when
+    # gcd(2, 1000) = 2 divides x.  Every odd x skips y at no node cost; for
+    # even x, y runs over one residue class mod 500, and each y tried is a
+    # solution.  So a node is one x or one solution
+    N = 1000
+    built = []
+    monkeypatch.setattr(search, "_bitmask", lambda bits: built.append(max(bits)) or _bitmask(bits))
+    sys = single_equation([1, 2, -1000])
+    nodes = _Nodes(None)
+    got = list(_value_sets(sys, N, nodes))
+    sols = [(x, y, (x + 2 * y) // 1000) for x in range(1, N + 1) for y in range(1, N + 1) if (x + 2 * y) % 1000 == 0]
+    assert got == [tuple(sorted(set(s))) for s in sols if s[2] <= N]
+    assert len(got) == 1000
+    assert nodes.count == N + len(got) == 2000
+    assert built == []
+
+
 def test_iroot_is_the_floor_of_the_root():
     for x in (1, 2, 3, 5):
         for t in list(range(1, 300)) + [10**40 + 7, 2**200]:
@@ -983,6 +1002,7 @@ def test_cnf_bench_instances_are_pinned():
         assert hashlib.sha256(export_cnf(sys, r, N).encode()).hexdigest() == digest, sys
 
 
-def test_cnf_truncation_flag():
-    text = export_cnf(schur_system(), 2, 30, tuple_limit=3)
+def test_cnf_truncation_flag(monkeypatch):
+    monkeypatch.setattr(search, "CNF_TUPLE_LIMIT", 3)
+    text = export_cnf(schur_system(), 2, 30)
     assert "truncated" in text
