@@ -607,7 +607,6 @@ def test_probe_skips_a_residual_that_the_gcd_does_not_divide(monkeypatch):
     got = list(_value_sets(sys, N, nodes))
     sols = [(x, y, (x + 2 * y) // 1000) for x in range(1, N + 1) for y in range(1, N + 1) if (x + 2 * y) % 1000 == 0]
     assert got == [tuple(sorted(set(s))) for s in sols if s[2] <= N]
-    assert len(got) == 1000
     assert nodes.count == N + len(got) == 2000
     assert built == []
 
