@@ -37,9 +37,9 @@ class Poly:
     def __init__(self, coeffs=None):
         cleaned = {}
         for d, c in (coeffs or {}).items():
-            if isinstance(d, bool) or not isinstance(d, int):
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ValueError(f"a degree must be a positive integer, not {d!r}")
-            if d < 1:
+            if d == 0:
                 raise ConstantTermError("degree-0 term forbidden")
             c = norm_scalar(c)
             if c != 0:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .exactq import Matrix, Scalar, Vector, mat_vec, norm_scalar, parse_scalar
 from .polyring import Poly, poly_parse
+from .radomat import MAX_COLS, column_condition
 
 DISTINCTNESS = ("allow-repeats", "all-distinct", "nontrivial")
 STATUS = ("regular-by-paper", "not-regular", "unknown")
@@ -62,17 +63,19 @@ class Equation:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
+        """`terms` are (c, monomial) tuples.  A pair whose c is already
+        normalised is kept as it is, so equations share the pairs `_term`
+        hands out."""
         seen = {}
-        for c, mono in terms:
-            c = norm_scalar(c)
-            if c == 0:
+        for pair in terms:
+            c, mono = pair
+            n = norm_scalar(c)
+            if n == 0:
                 continue
             if mono in seen:
                 raise ValueError(f"duplicate monomial {mono!r}")
-            seen[mono] = c
-        object.__setattr__(
-            self, "terms", tuple((c, m) for m, c in seen.items())
-        )
+            seen[mono] = pair if n is c else (n, mono)
+        object.__setattr__(self, "terms", tuple(seen.values()))
 
     def __setattr__(self, *a):
         raise AttributeError("Equation is immutable")
@@ -118,7 +121,7 @@ def eval_equation(eq: Equation, assignment: dict) -> Scalar:
     return eq.eval(assignment)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquationSystem:
     name: str
     variables: tuple
@@ -168,9 +171,22 @@ def _monomial(*flat) -> Monomial:
     return Monomial(dict(zip(flat[:k], flat[k:])))
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
+def _pair(c, *flat) -> tuple:
+    """The term (c, _monomial(*flat)), with c normalised.  Terms recur across
+    the systems built from matrices of one shape, so the cache shares them;
+    it is typed for the same reason as `_monomial`'s."""
+    return norm_scalar(c), _monomial(*flat)
+
+
+def _term(c, m: dict) -> tuple:
+    """The shared term c * prod v^e of the coefficient c and {v: e}."""
+    return _pair(c, *m, *m.values())
+
+
 def _eq(*terms) -> Equation:
     """The equation sum c * prod v^e = 0 over (c, {v: e}) pairs."""
-    return Equation([(c, _monomial(*m, *m.values())) for c, m in terms])
+    return Equation([_term(c, m) for c, m in terms])
 
 
 def _poly(p: Poly, var: str, sign=-1):
@@ -183,8 +199,11 @@ def _linear(vs, coeffs=None):
     return [(c, {v: 1}) for c, v in zip(coeffs or [1] * len(vs), vs)]
 
 
-def _names(prefix: str, k: int):
-    return [f"{prefix}{i}" for i in range(1, k + 1)]
+@functools.lru_cache(maxsize=64)
+def _names(prefix: str, k: int) -> tuple:
+    """("prefix1", ..., "prefixk"), shared by every system and assignment
+    that names these variables."""
+    return tuple(f"{prefix}{i}" for i in range(1, k + 1))
 
 
 def _ap_row(xs, i):
@@ -206,18 +225,22 @@ def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
     if len(polys) != m:
         raise ValueError(f"need {m} polynomials, got {len(polys)}")
     xs, ys = _names("x", n - 1), _names("y", m)
-    eqs = [_eq(*_linear(xs + [y], row), *_poly(p, "z", 1)) for row, y, p in zip(A.rows, ys, polys)]
-    return _family("nonlinear-rado", xs + ys + ["z"], eqs, "regular-by-paper")
+    eqs = [_eq(*_linear((*xs, y), row), *_poly(p, "z", 1)) for row, y, p in zip(A.rows, ys, polys)]
+    return _family("nonlinear-rado", (*xs, *ys, "z"), eqs, "regular-by-paper")
 
 
 def single_equation(coeffs) -> EquationSystem:
-    """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk."""
+    """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk.  It is
+    not regular when no nonempty subset of the c_i sums to 0, Rado's column
+    condition for one row; every other equation, and one wider than
+    `column_condition` takes, is unknown."""
     coeffs = [norm_scalar(c) for c in coeffs]
     if len(coeffs) < 2 or any(c == 0 for c in coeffs):
         raise ValueError("need >= 2 nonzero coefficients")
     vs = _names("v", len(coeffs))
     label = "equation(" + ",".join(str(c) for c in coeffs) + ")"
-    return _family(label, vs, [_eq(*_linear(vs, coeffs))], "unknown")
+    fails = len(coeffs) <= MAX_COLS and column_condition(Matrix([coeffs])) is None
+    return _family(label, vs, [_eq(*_linear(vs, coeffs))], "not-regular" if fails else "unknown")
 
 
 def schur_system() -> EquationSystem:
@@ -235,10 +258,10 @@ def poly_sum_product(n: int, m: int, polys) -> EquationSystem:
         raise ValueError("need n >= 1, m >= 1 and at least one polynomial")
     xs, ys, zs = _names("x", n), _names("y", m + 1), _names("z", len(polys))
     eqs = [
-        _eq(*_linear(xs), (-1, dict.fromkeys(ys[:m] + [z], 1)), *_poly(p, ys[m]))
+        _eq(*_linear(xs), (-1, dict.fromkeys((*ys[:m], z), 1)), *_poly(p, ys[m]))
         for z, p in zip(zs, polys)
     ]
-    return _family(f"poly-sum-product(n={n},m={m},r={len(polys)})", xs + ys + zs, eqs, "regular-by-paper")
+    return _family(f"poly-sum-product(n={n},m={m},r={len(polys)})", (*xs, *ys, *zs), eqs, "regular-by-paper")
 
 
 def sums_with_poly(n: int, polys) -> EquationSystem:
@@ -249,7 +272,7 @@ def sums_with_poly(n: int, polys) -> EquationSystem:
         raise ValueError("need n >= 1 and at least one polynomial")
     xs, zs = _names("x", n), _names("z", len(polys))
     eqs = [_eq(*_linear(xs), (-1, {z: 1}), *_poly(p, "z")) for z, p in zip(zs, polys)]
-    return _family(f"sums-with-poly(n={n},r={len(polys)})", xs + zs + ["z"], eqs, "regular-by-paper")
+    return _family(f"sums-with-poly(n={n},r={len(polys)})", (*xs, *zs, "z"), eqs, "regular-by-paper")
 
 
 def power_product(polys) -> EquationSystem:
@@ -262,7 +285,7 @@ def power_product(polys) -> EquationSystem:
         _eq((1, {"x": 1, "y": i}), (-1, {z: 1}), *_poly(p, "z"))
         for i, (z, p) in enumerate(zip(zs, polys), 1)
     ]
-    return _family(f"power-product(n={len(polys)})", ["x", "y"] + zs + ["z"], eqs, "regular-by-paper")
+    return _family(f"power-product(n={len(polys)})", ("x", "y", *zs, "z"), eqs, "regular-by-paper")
 
 
 def ap_times_product(l: int, m: int, n: int) -> EquationSystem:
@@ -272,8 +295,8 @@ def ap_times_product(l: int, m: int, n: int) -> EquationSystem:
     if l < 1 or m < 1:
         raise ValueError("need l >= 1, m >= 1")
     xs, ys, zs = _names("x", n), _names("y", m), _names("z", l)
-    eqs = [_eq(*_ap_row(xs, i), (-1, dict.fromkeys(ys + [z], 1))) for i, z in enumerate(zs, 1)]
-    return _family(f"ap-times-product(l={l},m={m},n={n})", xs + ys + zs, eqs, "regular-by-paper")
+    eqs = [_eq(*_ap_row(xs, i), (-1, dict.fromkeys((*ys, z), 1))) for i, z in enumerate(zs, 1)]
+    return _family(f"ap-times-product(l={l},m={m},n={n})", (*xs, *ys, *zs), eqs, "regular-by-paper")
 
 
 def ap_times_power(l: int, m: int, n: int) -> EquationSystem:
@@ -286,7 +309,7 @@ def ap_times_power(l: int, m: int, n: int) -> EquationSystem:
         raise ValueError("need l >= 1")
     xs, ys = _names("x", n), _names("y", l)
     eqs = [_eq(*_ap_row(xs, i), (-1, {y: 1, "z": m})) for i, y in enumerate(ys, 1)]
-    return _family(f"ap-times-power(l={l},m={m},n={n})", xs + ys + ["z"], eqs, "regular-by-paper")
+    return _family(f"ap-times-power(l={l},m={m},n={n})", (*xs, *ys, "z"), eqs, "regular-by-paper")
 
 
 def rational_function(n: int, p: Poly, q: Poly) -> EquationSystem:
@@ -306,7 +329,7 @@ _CONCLUDING = {
     1: ("xyzwut", [[(1, {"x": 1}), (1, {"y": k}), (-1, {v: 1})] for k, v in ((1, "z"), (2, "w"), (3, "u"))]),
     2: ("xyzt", [[*_linear("xy"), (-1, {"z": k})] for k in (2, 3)]),
     3: (
-        _names("x", 5) + _names("y", 4) + ["t"],
+        (*_names("x", 5), *_names("y", 4), "t"),
         [[*_linear(_names("x", 5)[i : i + 3]), (-1, {f"y{i + 1}": 1, f"y{i + 2}": 1})] for i in range(3)],
     ),
 }
@@ -415,17 +438,12 @@ def construct_thm34(a_list, b_list, a, d, polys):
     for b in b_list:
         bprod *= b
     denom = s * bprod
-    shared = {}
-    for j, aj in enumerate(a_list, start=1):
-        shared[f"x{j}"] = norm_scalar(aj * bprod * a)
-    for k, bk in enumerate(b_list, start=1):
-        shared[f"y{k}"] = bk
-    shared[f"y{m}"] = norm_scalar(s)
-    shared[f"y{m + 1}"] = d
+    shared = {x: norm_scalar(aj * bprod * a) for x, aj in zip(_names("x", n), a_list)}
+    shared.update(zip(_names("y", m + 1), [*b_list, norm_scalar(s), d]))
     out = []
-    for i, p in enumerate(polys, start=1):
+    for z, p in zip(_names("z", len(polys)), polys):
         assignment = dict(shared)
-        assignment[f"z{i}"] = norm_scalar(a - Fraction(p.eval(d)) / denom)
+        assignment[z] = norm_scalar(a - Fraction(p.eval(d)) / denom)
         out.append(assignment)
     return out
 
@@ -448,12 +466,9 @@ def construct_thm37(A: Matrix, X: Vector, a, d, polys) -> dict:
     for i in range(m):
         if A.rows[i][n - 1] * xn == 0:
             raise ZeroDivisionError(f"a_{{{i + 1},n}} * x_n is zero")
-    assignment = {}
-    for j in range(1, n):
-        assignment[f"x{j}"] = norm_scalar(a * X[j - 1])
-    for i in range(1, m + 1):
-        ain = A.rows[i - 1][n - 1]
-        assignment[f"y{i}"] = norm_scalar(a * xn - Fraction(polys[i - 1].eval(d)) / ain)
+    assignment = {x: norm_scalar(a * xj) for x, xj in zip(_names("x", n - 1), X)}
+    for y, row, p in zip(_names("y", m), A.rows, polys):
+        assignment[y] = norm_scalar(a * xn - Fraction(p.eval(d)) / row[n - 1])
     assignment["z"] = d
     return assignment
 
@@ -494,7 +509,12 @@ def system_from_json(data) -> EquationSystem:
             where = f"{field}.terms[{j}]"
             _json_field(t, dict, where)
             mono = _json_field(t.get("monomial", {}), dict, f"{where}.monomial")
-            terms.append((parse_scalar(str(_json_key(t, "coeff", where))), Monomial(mono)))
+            c = parse_scalar(str(_json_key(t, "coeff", where)))
+            try:
+                terms.append(_term(c, mono))
+            except TypeError:  # an array or object exponent cannot key the cache
+                Monomial(mono)  # raises the ValueError that names it
+                raise
         eqs.append(Equation(terms))
     return EquationSystem(
         name=_json_key(data, "name", "the system"),

@@ -197,6 +197,10 @@ def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
             },
             "the exponent of x must be a positive integer, not 1.5",
         ),
+        (
+            {"name": "s", "variables": ["x"], "equations": [{"terms": [{"coeff": 1, "monomial": {"x": [1]}}]}]},
+            "the exponent of x must be a positive integer, not [1]",
+        ),
         ({"variables": ["x"], "equations": []}, "the system: missing key 'name'"),
         ({"name": "s", "equations": []}, "the system: missing key 'variables'"),
         ({"name": "s", "variables": ["x"]}, "the system: missing key 'equations'"),
@@ -225,6 +229,7 @@ def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
         "variable-list",
         "monomial-list",
         "fractional-exponent",
+        "array-exponent",
         "no-name",
         "no-variables",
         "no-equations",
@@ -277,6 +282,26 @@ def test_solve_reads_a_fractional_equation_spec(capsys):
     # 1/2 x + 1/2 y = z: x = y = z solves it
     code, out, err = run(capsys, ["solve", "equation(1/2,1/2,-1)", "--coloring", "parity", "--range", "20"])
     assert (code, out, err) == (0, "SOLUTION color=0 {'v1': 2, 'v2': 2, 'v3': 2} [status=unknown]\n", "")
+
+
+@pytest.mark.parametrize(
+    "spec, distinct, status",
+    [
+        # no nonempty subset of 1, 1, -3 sums to 0: Rado's column condition
+        # fails, under every policy
+        ("equation(1,1,-3)", None, "not-regular"),
+        ("equation(1,1,-3)", "distinct", "not-regular"),
+        ("equation(1,1,-3)", "nontrivial", "not-regular"),
+        ("equation(2,3,5)", None, "not-regular"),
+        # 1 - 1 = 0, so the column condition alone decides nothing here
+        ("equation(1,2,-1)", None, "unknown"),
+        ("equation(1/2,1/2,-1)", None, "unknown"),
+    ],
+)
+def test_solve_labels_an_equation_that_fails_the_column_condition(capsys, spec, distinct, status):
+    argv = ["solve", spec, "--coloring", "parity", "--range", "6"]
+    code, payload = run_json(capsys, argv + (["--distinct", distinct] if distinct else []))
+    assert payload["inputs"]["status"] == status
 
 
 def test_solve_concluding_1_keeps_status_label(capsys):
@@ -936,8 +961,8 @@ GOLDEN = [
     (
         ["solve", "equation(1,1,-3)", "--coloring", "rado-avoider(1,1,-3;5)", "--range", "600"],
         1,
-        "NONE-IN-RANGE [1..600] [status=unknown]\n",
-        {"coloring": "rado-avoider(1,1,-3;5)", "colors": 4, "status": "unknown", "system": "equation(1,1,-3)"},
+        "NONE-IN-RANGE [1..600] [status=not-regular]\n",
+        {"coloring": "rado-avoider(1,1,-3;5)", "colors": 4, "status": "not-regular", "system": "equation(1,1,-3)"},
         # a node per x; the colouring avoids x + y = 3z, so no y has its z
         # in x's class and none is tried
         {"nodes": 600, "solution": None},

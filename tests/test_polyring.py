@@ -122,4 +122,11 @@ def test_poly_takes_only_exact_coefficients_and_integer_degrees():
         with pytest.raises(ValueError, match="positive integer"):
             Poly({degree: 1})
     with pytest.raises(ConstantTermError):
+        Poly({0: 1})
+
+
+def test_a_negative_degree_is_refused_as_a_degree_not_as_a_constant_term():
+    with pytest.raises(ValueError) as exc:
         Poly({-1: 1})
+    assert not isinstance(exc.value, ConstantTermError)
+    assert str(exc.value) == "a degree must be a positive integer, not -1"
