@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .exactq import Matrix, Scalar, Vector, mat_vec, norm_scalar, parse_scalar
 from .polyring import Poly, poly_parse
-from .radomat import MAX_COLS, column_condition
+from .radomat import MAX_COLS
 
 DISTINCTNESS = ("allow-repeats", "all-distinct", "nontrivial")
 STATUS = ("regular-by-paper", "not-regular", "unknown")
@@ -64,7 +64,7 @@ class Equation:
 
     def __init__(self, terms):
         """`terms` are (c, monomial) tuples.  A pair whose c is already
-        normalised is kept as it is, so equations share the pairs `_term`
+        normalised is kept as it is, so equations share the pairs `_pair`
         hands out."""
         seen = {}
         for pair in terms:
@@ -179,14 +179,9 @@ def _pair(c, *flat) -> tuple:
     return norm_scalar(c), _monomial(*flat)
 
 
-def _term(c, m: dict) -> tuple:
-    """The shared term c * prod v^e of the coefficient c and {v: e}."""
-    return _pair(c, *m, *m.values())
-
-
 def _eq(*terms) -> Equation:
     """The equation sum c * prod v^e = 0 over (c, {v: e}) pairs."""
-    return Equation([_term(c, m) for c, m in terms])
+    return Equation([_pair(c, *m, *m.values()) for c, m in terms])
 
 
 def _poly(p: Poly, var: str, sign=-1):
@@ -229,17 +224,32 @@ def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
     return _family("nonlinear-rado", (*xs, *ys, "z"), eqs, "regular-by-paper")
 
 
+def _zero_subset_sum(coeffs) -> bool:
+    """Whether some nonempty subset of `coeffs` sums to 0.  Meet in the
+    middle: each half has at most 2^(k/2) nonempty subset sums, and a zero
+    subset lies in one half or pairs a sum of one with its negative in the
+    other."""
+    halves = []
+    for part in (coeffs[: len(coeffs) // 2], coeffs[len(coeffs) // 2 :]):
+        sums = set()  # the sums of the nonempty subsets of part
+        for c in part:
+            sums |= {c} | {t + c for t in sums}
+        halves.append(sums)
+    left, right = halves
+    return 0 in left or 0 in right or any(-t in left for t in right)
+
+
 def single_equation(coeffs) -> EquationSystem:
     """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk.  It is
     not regular when no nonempty subset of the c_i sums to 0, Rado's column
-    condition for one row; every other equation, and one wider than
-    `column_condition` takes, is unknown."""
+    condition for one row; every other equation, and one of more than
+    MAX_COLS terms, is unknown."""
     coeffs = [norm_scalar(c) for c in coeffs]
     if len(coeffs) < 2 or any(c == 0 for c in coeffs):
         raise ValueError("need >= 2 nonzero coefficients")
     vs = _names("v", len(coeffs))
     label = "equation(" + ",".join(str(c) for c in coeffs) + ")"
-    fails = len(coeffs) <= MAX_COLS and column_condition(Matrix([coeffs])) is None
+    fails = len(coeffs) <= MAX_COLS and not _zero_subset_sum(coeffs)
     return _family(label, vs, [_eq(*_linear(vs, coeffs))], "not-regular" if fails else "unknown")
 
 
@@ -509,12 +519,7 @@ def system_from_json(data) -> EquationSystem:
             where = f"{field}.terms[{j}]"
             _json_field(t, dict, where)
             mono = _json_field(t.get("monomial", {}), dict, f"{where}.monomial")
-            c = parse_scalar(str(_json_key(t, "coeff", where)))
-            try:
-                terms.append(_term(c, mono))
-            except TypeError:  # an array or object exponent cannot key the cache
-                Monomial(mono)  # raises the ValueError that names it
-                raise
+            terms.append((parse_scalar(str(_json_key(t, "coeff", where))), Monomial(mono)))
         eqs.append(Equation(terms))
     return EquationSystem(
         name=_json_key(data, "name", "the system"),

@@ -2,19 +2,20 @@
 constructions, and the JSON round trip."""
 
 import random
-import tracemalloc
+import time
 from fractions import Fraction
 
 import pytest
 
 from radolab.exactq import Matrix, kernel_basis
 from radolab.polyring import Poly, poly_parse, ZERO
-from radolab.radomat import expand_matrix
+from radolab.radomat import column_condition, expand_matrix
 from radolab.systems import (
     Equation,
     EquationSystem,
     Monomial,
     _TEMPLATES,
+    _pair,
     ap_times_power,
     ap_times_product,
     build_nonlinear_rado,
@@ -642,20 +643,39 @@ def test_an_equation_system_has_no_instance_dict():
         sys.note = "ad hoc"
 
 
-def test_a_built_system_allocates_few_bytes():
-    # Python 3.10 to 3.13: 1,140 to 1,250 bytes a system with names and
-    # terms built afresh, 160 to 410 with them shared.  The spread is the
-    # small tuples CPython reuses from its free lists, which tracemalloc does
-    # not see, so the figure depends on what ran before.
+def test_built_terms_are_the_cached_pairs():
+    # each term of a built system is the object _pair hands out for it, so a
+    # system adds no term pairs of its own
     rng = random.Random(19)
     polys = [poly_parse("z^2 + z"), poly_parse("-z^3")]
-    mats = [Matrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4)] for _ in range(2)]) for _ in range(1000)]
-    for A in mats:  # fill the caches, as a first pass over these shapes does
-        build_nonlinear_rado(A, polys)
-    tracemalloc.start()
-    try:
-        built = [build_nonlinear_rado(A, polys) for A in mats]
-        size, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert size / len(built) < 700
+    for _ in range(50):
+        A = Matrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4)] for _ in range(2)])
+        for eq in build_nonlinear_rado(A, polys).equations:
+            for t in eq.terms:
+                ((v, e),) = t[1].exps
+                assert t is _pair(t[0], v, e)
+
+
+# ---------------------------------------------------------------------------
+# single_equation's label: Rado's column condition for one row
+
+
+def test_single_equation_is_not_regular_exactly_when_no_subset_sums_to_zero():
+    rng = random.Random(5)
+    pool = [-4, -3, -2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2)]
+    for _ in range(300):
+        coeffs = [rng.choice(pool) for _ in range(rng.randint(2, 8))]
+        want = "unknown" if column_condition(Matrix([coeffs])) else "not-regular"
+        assert single_equation(coeffs).status == want, coeffs
+
+
+def test_a_wide_equation_is_labelled_at_once():
+    # 2^24 subsets, but two halves of 2^12 sums each; the column_condition
+    # scan of all subsets took 9.6 s on 24 ones
+    start = time.perf_counter()
+    assert single_equation([1] * 24).status == "not-regular"
+    # signed powers of 3: balanced ternary writes 0 only with no digit
+    assert single_equation([(-3) ** i for i in range(24)]).status == "not-regular"
+    assert single_equation([1] * 23 + [-23]).status == "unknown"
+    assert single_equation([1] * 25).status == "unknown"  # more than MAX_COLS terms
+    assert time.perf_counter() - start < 2
