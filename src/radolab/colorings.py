@@ -9,6 +9,8 @@ from itertools import product as _iproduct
 from math import gcd, prod
 from operator import add, mul
 
+from .radomat import MAX_COLS, subset_sums
+
 MAX_SEQ = 20
 MAX_SELECTORS = 10**6
 
@@ -253,17 +255,23 @@ class RadoAvoider:
     s != 0 mod p."""
 
     def __init__(self, coeffs, p: int):
-        coeffs = [int(c) for c in coeffs]
-        if not coeffs or any(c == 0 for c in coeffs):
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if type(c) is not int:  # refuses bool too
+                raise ValueError(f"coefficient {c!r} is not an integer")
+        if not coeffs or 0 in coeffs:
             raise ValueError("coefficients must be nonzero")
+        if len(coeffs) > MAX_COLS:
+            raise ValueError(f"too many coefficients ({len(coeffs)} > {MAX_COLS})")
         if p < 2:
             raise ValueError("p must be at least 2")
-        bad = _subset_sum_sharing_factor(coeffs, p)
-        if bad is not None:
-            raise ValueError(
-                f"subset {bad} of coefficients has a sum sharing a factor with {p}; "
-                "the avoider construction does not apply"
-            )
+        for mask, (s,) in subset_sums([(c,) for c in coeffs]):
+            if mask and gcd(s, p) != 1:
+                bad = [c for i, c in enumerate(coeffs) if mask >> i & 1]
+                raise ValueError(
+                    f"subset {bad} of coefficients has a sum sharing a factor with {p}; "
+                    "the avoider construction does not apply"
+                )
         self.p = p
         self.r = p - 1
 
@@ -277,20 +285,6 @@ class RadoAvoider:
 
     def coloring(self, N: int) -> Coloring:
         return Coloring(N=N, r=self.r, colors=tuple(self.color_of(k) for k in range(1, N + 1)))
-
-
-def _subset_sum_sharing_factor(coeffs, p):
-    n = len(coeffs)
-    for mask in range(1, 1 << n):
-        total = 0
-        sub = []
-        for i in range(n):
-            if mask >> i & 1:
-                total += coeffs[i]
-                sub.append(coeffs[i])
-        if gcd(total, p) != 1:
-            return sub
-    return None
 
 
 def rado_avoider_coloring(coeffs, p: int) -> RadoAvoider:

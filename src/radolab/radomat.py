@@ -6,13 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, neg, sub
 
 from .exactq import Matrix, Vector, insert, integral, is_zero_vector, norm_scalar, reduce, span_member
 
-# column_condition on a 1 x n row with no zero-sum subset, such as all ones,
-# runs through all 2^n subsets: n = 24 takes about 10 s (Python 3.11 on one
-# core of a 2-vCPU x86-64 host), and each further column doubles that.
+# The bound on every subset walk: the column condition, whose worst case, a
+# 1x24 row of ones, takes about 6 ms by meet in the middle; the label of
+# equation(...); and the avoider's check, which walks all 2^n subsets (24 ones
+# take about 10 s).  Python 3.11 on one core of a 2-vCPU x86-64 host.
 MAX_COLS = 24
 
 
@@ -26,23 +27,41 @@ class ColumnPartitionWitness:
         return {"blocks": [list(b) for b in self.blocks]}
 
 
-def _first_zero_sum(vecs: list) -> int:
-    """Mask of the first nonempty subset of `vecs`, in ascending-mask order,
-    whose sum is zero; 0 when there is none.
+def subset_sums(vecs: list):
+    """Yield (mask, sum) for every subset of the vectors `vecs`, the empty
+    one first, in ascending-mask order; each sum is a tuple.
 
     One running sum and no table: going from mask - 1 to mask sets the lowest
     set bit t of mask and clears the bits below it, so the sum moves by
     vecs[t] - (vecs[0] + ... + vecs[t-1])."""
-    prefix = [0] * len(vecs[0])
+    s = prefix = (0,) * (len(vecs[0]) if vecs else 0)
     steps = []
     for v in vecs:
-        steps.append([a - b for a, b in zip(v, prefix)])
-        prefix = [a + b for a, b in zip(prefix, v)]
-    s = [0] * len(prefix)
+        steps.append(tuple(map(sub, v, prefix)))
+        prefix = tuple(map(add, prefix, v))
+    yield 0, s
     for mask in range(1, 1 << len(vecs)):
-        s = list(map(add, s, steps[(mask & -mask).bit_length() - 1]))
-        if not any(s):
+        s = tuple(map(add, s, steps[(mask & -mask).bit_length() - 1]))
+        yield mask, s
+
+
+def _first_zero_sum(vecs: list) -> int:
+    """Mask of the first nonempty subset of `vecs`, in ascending-mask order,
+    whose sum is zero; 0 when there is none.
+
+    Meet in the middle: masks order by their high half h first, so a zero
+    low subset comes first of all, and after it the least nonempty h whose
+    sum some low subset cancels, with the least such low subset."""
+    k = (len(vecs) + 1) // 2
+    least = {}  # each sum of a low subset -> its least mask
+    for mask, s in subset_sums(vecs[:k]):
+        if mask and not any(s):
             return mask
+        least.setdefault(s, mask)
+    for mask, s in subset_sums([tuple(map(neg, v)) for v in vecs[k:]]):
+        low = least.get(s)
+        if mask and low is not None:
+            return mask << k | low
     return 0
 
 
@@ -64,9 +83,9 @@ def column_condition(A: Matrix):
     block; each stage uses at least one column, so at most n stages run.
 
     Cost: at each stage, one reduction of every remaining column modulo
-    span(U), plus, when no column lies in span(U), up to 2^k running sums of
-    the k remaining reduced columns.  The worst case stays exponential: for
-    m = 1 the question is zero subset sum.
+    span(U), plus, when no column lies in span(U), about 2 * 2^(k/2) running
+    sums of the k remaining reduced columns.  The worst case stays
+    exponential: for m = 1 the question is zero subset sum.
     """
     n = A.n
     if n > MAX_COLS:

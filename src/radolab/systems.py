@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .exactq import Matrix, Scalar, Vector, mat_vec, norm_scalar, parse_scalar
 from .polyring import Poly, poly_parse
-from .radomat import MAX_COLS
+from .radomat import MAX_COLS, column_condition
 
 DISTINCTNESS = ("allow-repeats", "all-distinct", "nontrivial")
 STATUS = ("regular-by-paper", "not-regular", "unknown")
@@ -224,21 +224,6 @@ def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
     return _family("nonlinear-rado", (*xs, *ys, "z"), eqs, "regular-by-paper")
 
 
-def _zero_subset_sum(coeffs) -> bool:
-    """Whether some nonempty subset of `coeffs` sums to 0.  Meet in the
-    middle: each half has at most 2^(k/2) nonempty subset sums, and a zero
-    subset lies in one half or pairs a sum of one with its negative in the
-    other."""
-    halves = []
-    for part in (coeffs[: len(coeffs) // 2], coeffs[len(coeffs) // 2 :]):
-        sums = set()  # the sums of the nonempty subsets of part
-        for c in part:
-            sums |= {c} | {t + c for t in sums}
-        halves.append(sums)
-    left, right = halves
-    return 0 in left or 0 in right or any(-t in left for t in right)
-
-
 def single_equation(coeffs) -> EquationSystem:
     """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk.  It is
     not regular when no nonempty subset of the c_i sums to 0, Rado's column
@@ -249,7 +234,7 @@ def single_equation(coeffs) -> EquationSystem:
         raise ValueError("need >= 2 nonzero coefficients")
     vs = _names("v", len(coeffs))
     label = "equation(" + ",".join(str(c) for c in coeffs) + ")"
-    fails = len(coeffs) <= MAX_COLS and not _zero_subset_sum(coeffs)
+    fails = len(coeffs) <= MAX_COLS and column_condition(Matrix([coeffs])) is None
     return _family(label, vs, [_eq(*_linear(vs, coeffs))], "not-regular" if fails else "unknown")
 
 

@@ -4,6 +4,7 @@ and the JSON run reports."""
 import argparse
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,17 @@ def test_check_cc_satisfied(capsys, matrix_file):
 
 def test_check_cc_not_satisfied(capsys, matrix_file):
     code, out, _ = run(capsys, ["check-cc", matrix_file("1 1 -3")])
+    assert code == 1
+    assert "NOT SATISFIED" in out
+
+
+def test_check_cc_on_a_row_of_24_ones_is_fast(capsys, matrix_file):
+    # no subset of 24 ones sums to zero: 2^24 subsets, but two halves of
+    # 2^12 sums each
+    path = matrix_file(" ".join(["1"] * 24))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["check-cc", path])
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert "NOT SATISFIED" in out
 
@@ -1019,6 +1031,7 @@ def test_each_subcommand_prints_its_pinned_output(
         ["rado-number", "schur", "--colors", "0"],
         ["fsfp", "--depth", "7"],
         ["solve", "schur", "--coloring", "rado-avoider(1,a;5)"],
+        ["solve", "schur", "--coloring", "rado-avoider(" + ",".join(["1"] * (MAX_COLS + 1)) + ";101)"],
         ["check-cc", "TOO-WIDE"],
         ["solve", "schur", "--coloring", "parity", "--range", str(10**20)],
         ["solve", "schur", "--coloring", "all-one", "--range", str(MAX_RANGE + 1)],
@@ -1031,6 +1044,7 @@ def test_each_subcommand_prints_its_pinned_output(
         "colors-0",
         "depth-7",
         "avoider-coeff",
+        "avoider-too-many-coeffs",
         "too-many-columns",
         "solve-huge-range",
         "solve-range-above-max",

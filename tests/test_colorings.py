@@ -4,6 +4,7 @@ avoider coloring."""
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from radolab.colorings import (
     witness_structure,
 )
 from radolab.polyring import poly_parse
+from radolab.radomat import MAX_COLS
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,23 @@ def test_avoider_rejects_subset_sum_sharing_a_factor_with_p():
     # base-4 colouring gives 2, 6, 56 one colour although -7*2 - 7*6 + 56 = 0
     with pytest.raises(ValueError):
         rado_avoider_coloring([-7, -7, 1], 4)
+
+
+def test_avoider_names_the_first_offending_subset():
+    # in ascending order of subsets, {1}, {1} and then {1, 1} with sum 2
+    with pytest.raises(ValueError, match=r"subset \[1, 1\] of coefficients"):
+        RadoAvoider((1, 1, -2), 2)
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 1.9, True, "1"])
+def test_avoider_refuses_a_coefficient_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(bad))} is not an integer"):
+        rado_avoider_coloring([bad, 1, -3], 5)
+
+
+def test_avoider_refuses_more_than_max_cols_coefficients():
+    with pytest.raises(ValueError, match="too many coefficients"):
+        RadoAvoider([1] * (MAX_COLS + 1), 101)
 
 
 def test_avoider_digit_colors():

@@ -1,12 +1,14 @@
 import random
 import time
 from itertools import product
+from operator import add
 
 import pytest
 
 from radolab.exactq import Matrix
 from radolab.radomat import (
     MAX_COLS,
+    _first_zero_sum,
     ColumnPartitionWitness,
     column_condition,
     column_condition_naive,
@@ -99,6 +101,34 @@ def test_deciders_agree_random_2xn():
         n = rng.randint(2, 5)
         A = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)])
         assert (column_condition(A) is None) == (column_condition_naive(A) is None)
+
+
+def _ascending_scan(vecs):
+    """The first nonempty zero-sum subset by a scan of all masks in
+    ascending order, with one running sum: the oracle for _first_zero_sum."""
+    prefix = [0] * len(vecs[0])
+    steps = []
+    for v in vecs:
+        steps.append([a - b for a, b in zip(v, prefix)])
+        prefix = [a + b for a, b in zip(prefix, v)]
+    s = [0] * len(prefix)
+    for mask in range(1, 1 << len(vecs)):
+        s = list(map(add, s, steps[(mask & -mask).bit_length() - 1]))
+        if not any(s):
+            return mask
+    return 0
+
+
+def test_first_zero_sum_returns_the_mask_of_the_ascending_scan():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 3)
+        vecs = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, 9))]
+        want = _ascending_scan(vecs)
+        assert _first_zero_sum(vecs) == want, vecs
+        found += want != 0
+    assert 0 < found < 3000  # both outcomes occur
 
 
 def test_column_guard():
