@@ -28,8 +28,6 @@ from .colorings import (
     FSFPWitness,
     fs,
     fp,
-    fs_sets,
-    fp_sets,
     mixed_structure,
     poly_vdw_witness,
     rado_avoider_coloring,
@@ -73,8 +71,6 @@ __all__ = [
     "FSFPWitness",
     "fs",
     "fp",
-    "fs_sets",
-    "fp_sets",
     "mixed_structure",
     "poly_vdw_witness",
     "rado_avoider_coloring",

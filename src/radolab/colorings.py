@@ -5,14 +5,12 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from itertools import product as _iproduct
 from math import gcd, prod
 from operator import add, mul
 
 from .radomat import MAX_COLS, subset_sums
 
 MAX_SEQ = 20
-MAX_SELECTORS = 10**6
 
 
 class ColoringTooShort(ValueError):
@@ -71,14 +69,21 @@ def random_coloring(N: int, r: int, seed: int) -> Coloring:
 # FS / FP structures
 
 
+def _step(out, x, op) -> set:
+    """What appending x adds to an op-closure out: {x} and op(s, x) for s
+    in out."""
+    new = {op(s, x) for s in out}
+    new.add(x)
+    return new
+
+
 def _closure(seq, op) -> set:
     """op folded over the entries of every nonempty index subset."""
     seq = list(seq)
     _check_seq(seq)
     out = set()
     for x in seq:
-        out |= {op(s, x) for s in out}
-        out.add(x)
+        out |= _step(out, x, op)
     return out
 
 
@@ -101,47 +106,14 @@ def _check_seq(seq):
         raise ValueError("entries must be positive")
 
 
-def _union(sets, op) -> set:
-    """Union of the op-closure over every selector tuple (one element per
-    set)."""
-    sets = [sorted(s) for s in sets]
-    if not sets or any(not s for s in sets):
-        raise ValueError("need nonempty sets")
-    total = 1
-    for s in sets:
-        total *= len(s)
-        if total > MAX_SELECTORS:
-            raise ValueError("too many selector tuples")
-    out = set()
-    for tup in _iproduct(*sets):
-        out |= _closure(tup, op)
-    return out
-
-
-def fs_sets(sets) -> set:
-    """Union of FS over every selector tuple (one element per set)."""
-    return _union(sets, add)
-
-
-def fp_sets(sets) -> set:
-    """Union of FP over every selector tuple (one element per set)."""
-    return _union(sets, mul)
-
-
 def mixed_structure(a_seq, b_seq) -> set:
-    """Union over m = 1..N of the elementwise products
-    FS(a_1..a_m) * FP(b_m..b_N)."""
+    """Union over m = 1..n of the elementwise products
+    FS(a_1..a_m) * FP(b_m..b_n), n the common length of the sequences."""
     a_seq, b_seq = list(a_seq), list(b_seq)
     if len(a_seq) != len(b_seq):
         raise ValueError("sequences must have equal length")
     _check_seq(a_seq)
     _check_seq(b_seq)
-    return _mixed(a_seq, b_seq)
-
-
-def _mixed(a_seq, b_seq) -> set:
-    """Union over m = 1..k of FS(a_1..a_m) * FP(b_m..b_k), k = len(b_seq) <=
-    len(a_seq): the mixed products that the first k terms of b fix."""
     out = set()
     for m in range(1, len(b_seq) + 1):
         right = fp(b_seq[m - 1 :])
@@ -179,10 +151,13 @@ def search_fsfp(c: Coloring, depth: int):
     then b_1..b_k with b_k <= N // (a_1 * b_1 * ... * b_k-1), in ascending
     order.  A prefix is dropped as soon as the part of the structure it fixes
     leaves [1..N] or the color of a_1: FS(a_1..a_j) while b is empty, then
-    FP(b_1..b_k) and FS(a_1..a_m) * FP(b_m..b_k) for m <= k.  That part lies
-    inside the structure of every witness extending the prefix, so no
-    dropped prefix extends to a witness, and the first witness is the one a
-    check of every candidate in order would find.
+    FP(b_1..b_k) and FS(a_1..a_m) * FP(b_m..b_k) for m <= k.  A candidate is
+    checked only on the elements it adds to that part: its _step of
+    FS(a_1..a_j); in the b phase, its _step of each kept suffix FP(b_m..b_k)
+    and of the empty one, and FS(a_1..a_m) times each of those.  The rest was
+    checked at an ancestor, in the same color.  The part lies inside the
+    structure of every witness extending the prefix, so the first witness is
+    the one a check of every candidate in order would find.
 
     Absence means only that no witness fits inside [1..N]; the result says
     nothing about larger ranges.
@@ -190,27 +165,33 @@ def search_fsfp(c: Coloring, depth: int):
     if depth < 1 or depth > 4:
         raise ValueError("depth must be in 1..4")
     N, colors = c.N, c.colors
-    a_seq, b_seq = [], []
 
-    def dfs():
-        if len(b_seq) == depth:
-            return FSFPWitness(a_seq=tuple(a_seq), b_seq=tuple(b_seq), color=colors[a_seq[0] - 1])
-        if len(a_seq) < depth:
-            seq, hi = a_seq, N - sum(a_seq)
-        else:
-            seq, hi = b_seq, N // (a_seq[0] * prod(b_seq))
-        for x in range(1, hi + 1):
-            seq.append(x)
-            color = colors[a_seq[0] - 1]
-            part = fp(b_seq) | _mixed(a_seq, b_seq) if b_seq else fs(a_seq)
-            if all(e <= N and colors[e - 1] == color for e in part):
-                w = dfs()
+    def fits(elems, color):
+        return all(e <= N and colors[e - 1] == color for e in elems)
+
+    def dfs(a, sums, b, sufs):
+        # sums[m - 1] = FS(a_1..a_m), sufs[m - 1] = FP(b_m..b_k)
+        if len(b) == depth:
+            return FSFPWitness(a_seq=a, b_seq=b, color=colors[a[0] - 1])
+        if len(a) < depth:
+            last = sums[-1] if sums else set()
+            for x in range(1, N - sum(a) + 1):
+                new = _step(last, x, add)
+                if not a or fits(new, colors[a[0] - 1]):
+                    w = dfs(a + (x,), sums + [last | new], b, sufs)
+                    if w is not None:
+                        return w
+            return None
+        color, grown = colors[a[0] - 1], sufs + [set()]
+        for y in range(1, N // (a[0] * prod(b)) + 1):
+            new = [_step(q, y, mul) for q in grown]
+            if fits(new[0], color) and all(fits({f * g for f in f_m for g in n}, color) for f_m, n in zip(sums, new)):
+                w = dfs(a, sums, b + (y,), [q | n for q, n in zip(grown, new)])
                 if w is not None:
                     return w
-            seq.pop()
         return None
 
-    return dfs()
+    return dfs((), [], (), [])
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +201,13 @@ def search_fsfp(c: Coloring, depth: int):
 def poly_vdw_witness(c: Coloring, polys):
     """Find a, d >= 1 with {a} union {a + P(d)} monochromatic inside [1..N].
     Search order: increasing a + d, then increasing a.  Returns
-    (a, d, color) or None.  An empty list is refused: it would make every
-    {a} a witness."""
+    (a, d, color) or None.  A list that is empty or holds only zero
+    polynomials is refused: it would make every {a} a witness."""
     polys = list(polys)
     if not polys:
         raise ValueError("need at least one polynomial")
+    if all(p.is_zero() for p in polys):
+        raise ValueError("every polynomial is zero, so every {a} would be a witness")
     N = c.N
     for s in range(2, 2 * N + 1):
         for a in range(max(1, s - N), min(N, s - 1) + 1):

@@ -16,9 +16,7 @@ from radolab.colorings import (
     Coloring,
     all_one_coloring,
     fp,
-    fp_sets,
     fs,
-    fs_sets,
     mixed_structure,
     rado_avoider_coloring,
     random_coloring,
@@ -276,20 +274,6 @@ def _fp_rec(seq):
     return {seq[0]} | rest | {seq[0] * x for x in rest}
 
 
-def _fs_sets_rec(sets):
-    out = set()
-    for choice in itertools.product(*sets):
-        out |= _fs_rec(choice)
-    return out
-
-
-def _fp_sets_rec(sets):
-    out = set()
-    for choice in itertools.product(*sets):
-        out |= _fp_rec(choice)
-    return out
-
-
 def _mixed_rec(a, b):
     out = set()
     for m in range(1, len(a) + 1):
@@ -307,12 +291,6 @@ def test_criterion_9_fsfp_against_recursive_oracles():
         seq = tuple(rng.randint(1, 9) for _ in range(k))
         ok &= fs(seq) == _fs_rec(seq)
         ok &= fp(seq) == _fp_rec(seq)
-        sets = tuple(
-            frozenset(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 3))
-        )
-        ok &= fs_sets(sets) == _fs_sets_rec(sets)
-        ok &= fp_sets(sets) == _fp_sets_rec(sets)
         b = tuple(rng.randint(1, 9) for _ in range(k))
         ok &= mixed_structure(seq, b) == _mixed_rec(seq, b)
     # distributivity identity on search witnesses

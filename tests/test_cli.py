@@ -1037,6 +1037,7 @@ def test_each_subcommand_prints_its_pinned_output(
         ["solve", "schur", "--coloring", "all-one", "--range", str(MAX_RANGE + 1)],
         ["fsfp", "--range", str(10**20)],
         ["polyvdw", "--polys", "z", "--range", str(10**20)],
+        ["polyvdw", "--coloring", "random(3)", "--range", "50", "--polys", "0z"],
         ["export-cnf", "schur", "--colors", "2", "--range", str(10**8), "--out", "OUT"],
     ],
     ids=[
@@ -1050,6 +1051,7 @@ def test_each_subcommand_prints_its_pinned_output(
         "solve-range-above-max",
         "fsfp-huge-range",
         "polyvdw-huge-range",
+        "polyvdw-zero-polys",
         "export-cnf-huge-range",
     ],
 )

@@ -16,9 +16,7 @@ from radolab.colorings import (
     RadoAvoider,
     all_one_coloring,
     fp,
-    fp_sets,
     fs,
-    fs_sets,
     mixed_structure,
     parity_coloring,
     poly_vdw_witness,
@@ -117,28 +115,6 @@ def test_fs_guards():
         fs(())
     with pytest.raises(ValueError):
         fs(tuple(range(1, 22)))
-
-
-def test_fs_sets_examples():
-    assert fs_sets(({1, 2}, {10})) == {1, 2, 10, 11, 12}
-    assert fs_sets(({5},)) == {5}
-    assert fp_sets(({2}, {3, 4})) == {2, 3, 4, 6, 8}
-
-
-def test_fs_sets_is_union_over_selectors():
-    rng = random.Random(78)
-    for _ in range(50):
-        sets = tuple(
-            frozenset(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 3))
-        )
-        expect_fs = set()
-        expect_fp = set()
-        for choice in itertools.product(*sets):
-            expect_fs |= fs(choice)
-            expect_fp |= fp(choice)
-        assert fs_sets(sets) == expect_fs
-        assert fp_sets(sets) == expect_fp
 
 
 def test_mixed_structure_examples():
@@ -289,10 +265,61 @@ def test_search_fsfp_is_brute_force_lexicographically_first(c, depth):
 
 
 def test_search_fsfp_is_brute_force_first_on_every_small_coloring():
-    for N, depth in [(6, 1), (6, 2), (6, 3)]:
+    for N, depth in [(6, 1), (6, 2), (6, 3), (6, 4)]:
         for colors in itertools.product(range(2), repeat=N):
             c = Coloring(N=N, r=2, colors=colors)
             assert search_fsfp(c, depth) == _first_witness_brute_force(c, depth)
+
+
+def _search_fsfp_rebuilding(c, depth):
+    """search_fsfp as it was when every candidate rebuilt the whole part of
+    the structure its prefix fixes: FS(a_1..a_j) while b is empty, then
+    FP(b_1..b_k) and FS(a_1..a_m) * FP(b_m..b_k) for m <= k."""
+    N, colors = c.N, c.colors
+    a_seq, b_seq = [], []
+
+    def mixed(a_seq, b_seq):
+        out = set()
+        for m in range(1, len(b_seq) + 1):
+            right = fp(b_seq[m - 1 :])
+            out |= {f * g for f in fs(a_seq[:m]) for g in right}
+        return out
+
+    def dfs():
+        if len(b_seq) == depth:
+            return FSFPWitness(a_seq=tuple(a_seq), b_seq=tuple(b_seq), color=colors[a_seq[0] - 1])
+        if len(a_seq) < depth:
+            seq, hi = a_seq, N - sum(a_seq)
+        else:
+            seq, hi = b_seq, N // (a_seq[0] * math.prod(b_seq))
+        for x in range(1, hi + 1):
+            seq.append(x)
+            color = colors[a_seq[0] - 1]
+            part = fp(b_seq) | mixed(a_seq, b_seq) if b_seq else fs(a_seq)
+            if all(e <= N and colors[e - 1] == color for e in part):
+                w = dfs()
+                if w is not None:
+                    return w
+            seq.pop()
+        return None
+
+    return dfs()
+
+
+def test_search_fsfp_matches_the_rebuilding_search():
+    rng = random.Random(22)
+    found = 0
+    for i in range(300):
+        c = random_coloring(rng.randint(1, 120), rng.randint(1, 4), seed=rng.randrange(10**6))
+        if i % 2:
+            c = _one_apart(c)
+        depth = rng.randint(1, 4)
+        w = search_fsfp(c, depth)
+        assert w == _search_fsfp_rebuilding(c, depth), (c, depth)
+        if w is not None:
+            found += 1
+            assert verify_fsfp(w, c)
+    assert 0 < found < 300
 
 
 def test_search_fsfp_parity_depth_3():
@@ -335,6 +362,13 @@ def test_poly_vdw_absent_on_tiny_parity():
 def test_poly_vdw_refuses_an_empty_list():
     with pytest.raises(ValueError, match="at least one polynomial"):
         poly_vdw_witness(all_one_coloring(10), [])
+
+
+def test_poly_vdw_refuses_a_list_of_zero_polynomials():
+    with pytest.raises(ValueError, match="every polynomial is zero"):
+        poly_vdw_witness(all_one_coloring(10), [poly_parse("0z"), poly_parse("0z^2")])
+    # a zero polynomial next to a nonzero one adds only a itself
+    assert poly_vdw_witness(all_one_coloring(10), [poly_parse("0z"), poly_parse("z")]) == (1, 1, 0)
 
 
 def _poly_vdw_oracle(c, coeff_lists):
