@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from math import gcd, prod
+from math import isqrt, prod
 from operator import add, mul
 
-from .radomat import MAX_COLS, subset_sums
+from .radomat import MAX_COLS, _first_zero_sum
 
 MAX_SEQ = 20
+MAX_TRIAL = 10**6  # the avoider's check refuses p when min(sqrt(p), sum |c_i|) is larger
 
 
 class ColoringTooShort(ValueError):
@@ -228,6 +229,19 @@ def poly_vdw_witness(c: Coloring, polys):
 # the base-p avoider coloring
 
 
+def _prime_factors_upto(p: int, bound: int) -> list:
+    """The primes q <= bound that divide p, by trial division up to
+    min(sqrt(p), bound)."""
+    out, q = [], 2
+    while q <= bound and q * q <= p:
+        if p % q == 0:
+            out.append(q)
+            while p % q == 0:
+                p //= q
+        q += 1
+    return out + [p] if 1 < p <= bound else out  # a leftover p <= bound is prime
+
+
 class RadoAvoider:
     """The classical falsification device for a single non-regular equation:
     color n by its least significant nonzero digit in base p (r = p - 1
@@ -235,7 +249,11 @@ class RadoAvoider:
     coefficients has gcd(s, p) = 1: in a monochromatic solution with digit d,
     the terms of least p-adic valuation give d * s = 0 mod p for their
     coefficient sum s, which a unit s rules out.  For prime p this is
-    s != 0 mod p."""
+    s != 0 mod p.
+
+    gcd(s, p) != 1 exactly when s = 0 or a prime q of p divides s, and a prime
+    q > sum |c_i| divides s only when s = 0: the check asks _first_zero_sum
+    with no modulus and modulo each prime q <= sum |c_i| of p."""
 
     def __init__(self, coeffs, p: int):
         coeffs = list(coeffs)
@@ -248,13 +266,17 @@ class RadoAvoider:
             raise ValueError(f"too many coefficients ({len(coeffs)} > {MAX_COLS})")
         if p < 2:
             raise ValueError("p must be at least 2")
-        for mask, (s,) in subset_sums([(c,) for c in coeffs]):
-            if mask and gcd(s, p) != 1:
-                bad = [c for i, c in enumerate(coeffs) if mask >> i & 1]
-                raise ValueError(
-                    f"subset {bad} of coefficients has a sum sharing a factor with {p}; "
-                    "the avoider construction does not apply"
-                )
+        total = sum(map(abs, coeffs))
+        if min(total, isqrt(p)) > MAX_TRIAL:
+            raise ValueError(f"sqrt({p}) and the sum of |coefficients| both exceed the trial bound {MAX_TRIAL}")
+        masks = (_first_zero_sum([(c,) for c in coeffs], q) for q in [0, *_prime_factors_upto(p, total)])
+        mask = min(filter(None, masks), default=0)
+        if mask:
+            bad = [c for i, c in enumerate(coeffs) if mask >> i & 1]
+            raise ValueError(
+                f"subset {bad} of coefficients has a sum sharing a factor with {p}; "
+                "the avoider construction does not apply"
+            )
         self.p = p
         self.r = p - 1
 

@@ -6,14 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, neg, sub
+from operator import add, neg
 
 from .exactq import Matrix, Vector, insert, integral, is_zero_vector, norm_scalar, reduce, span_member
 
-# The bound on every subset walk: the column condition, whose worst case, a
-# 1x24 row of ones, takes about 6 ms by meet in the middle; the label of
-# equation(...); and the avoider's check, which walks all 2^n subsets (24 ones
-# take about 10 s).  Python 3.11 on one core of a 2-vCPU x86-64 host.
+# The bound on every subset search (_first_zero_sum, by meet in the middle):
+# the column condition, the label of equation(...) and the avoider's check.
+# Their worst case, 24 columns or coefficients, takes a few ms per search.
 MAX_COLS = 24
 
 
@@ -27,41 +26,34 @@ class ColumnPartitionWitness:
         return {"blocks": [list(b) for b in self.blocks]}
 
 
-def subset_sums(vecs: list):
-    """Yield (mask, sum) for every subset of the vectors `vecs`, the empty
-    one first, in ascending-mask order; each sum is a tuple.
-
-    One running sum and no table: going from mask - 1 to mask sets the lowest
-    set bit t of mask and clears the bits below it, so the sum moves by
-    vecs[t] - (vecs[0] + ... + vecs[t-1])."""
-    s = prefix = (0,) * (len(vecs[0]) if vecs else 0)
-    steps = []
+def _sums(vecs: list, dim: int, q: int = 0) -> list:
+    """The sums of every subset of the `dim`-long vectors `vecs`, indexed by
+    mask, as tuples reduced modulo q when q > 0: each vector doubles the list
+    by adding itself to every earlier entry, so entry mask sums mask."""
+    sums = [(0,) * dim]
     for v in vecs:
-        steps.append(tuple(map(sub, v, prefix)))
-        prefix = tuple(map(add, prefix, v))
-    yield 0, s
-    for mask in range(1, 1 << len(vecs)):
-        s = tuple(map(add, s, steps[(mask & -mask).bit_length() - 1]))
-        yield mask, s
+        sums += [tuple(map(add, s, v)) for s in sums]
+    return [tuple(x % q for x in s) for s in sums] if q else sums
 
 
-def _first_zero_sum(vecs: list) -> int:
+def _first_zero_sum(vecs: list, q: int = 0) -> int:
     """Mask of the first nonempty subset of `vecs`, in ascending-mask order,
-    whose sum is zero; 0 when there is none.
+    whose sum is zero, or zero modulo q when q > 0; 0 when there is none.
+    The one search over subsets: the column condition, the equation(...)
+    label and the avoider's check all ask it.
 
     Meet in the middle: masks order by their high half h first, so a zero
     low subset comes first of all, and after it the least nonempty h whose
     sum some low subset cancels, with the least such low subset."""
-    k = (len(vecs) + 1) // 2
+    k, dim = (len(vecs) + 1) // 2, len(vecs[0])
     least = {}  # each sum of a low subset -> its least mask
-    for mask, s in subset_sums(vecs[:k]):
+    for mask, s in enumerate(_sums(vecs[:k], dim, q)):
         if mask and not any(s):
             return mask
         least.setdefault(s, mask)
-    for mask, s in subset_sums([tuple(map(neg, v)) for v in vecs[k:]]):
-        low = least.get(s)
-        if mask and low is not None:
-            return mask << k | low
+    for mask, s in enumerate(_sums([tuple(map(neg, v)) for v in vecs[k:]], dim, q)):
+        if mask and s in least:
+            return mask << k | least[s]
     return 0
 
 
@@ -83,7 +75,7 @@ def column_condition(A: Matrix):
     block; each stage uses at least one column, so at most n stages run.
 
     Cost: at each stage, one reduction of every remaining column modulo
-    span(U), plus, when no column lies in span(U), about 2 * 2^(k/2) running
+    span(U), plus, when no column lies in span(U), about 2 * 2^(k/2) subset
     sums of the k remaining reduced columns.  The worst case stays
     exponential: for m = 1 the question is zero subset sum.
     """

@@ -212,7 +212,9 @@ def _family(name, variables, equations, status) -> EquationSystem:
 
 def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
     """System over x_1..x_{n-1}, y_1..y_m, z with row i reading
-    sum_j a_{i,j} x_j + a_{i,n} y_i + P_i(z) = 0."""
+    sum_j a_{i,j} x_j + a_{i,n} y_i + P_i(z) = 0.  The paper claims it regular
+    when A satisfies the column condition, which column_condition(A) decides
+    and this builder does not check, so the label is unknown."""
     m, n = A.m, A.n
     if n < 2:
         raise ValueError("need n >= 2 columns")
@@ -221,21 +223,22 @@ def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
         raise ValueError(f"need {m} polynomials, got {len(polys)}")
     xs, ys = _names("x", n - 1), _names("y", m)
     eqs = [_eq(*_linear((*xs, y), row), *_poly(p, "z", 1)) for row, y, p in zip(A.rows, ys, polys)]
-    return _family("nonlinear-rado", (*xs, *ys, "z"), eqs, "regular-by-paper")
+    return _family("nonlinear-rado", (*xs, *ys, "z"), eqs, "unknown")
 
 
 def single_equation(coeffs) -> EquationSystem:
-    """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk.  It is
-    not regular when no nonempty subset of the c_i sums to 0, Rado's column
-    condition for one row; every other equation, and one of more than
-    MAX_COLS terms, is unknown."""
+    """One homogeneous linear equation sum_i c_i v_i = 0 over v1..vk.  By
+    Rado's theorem it is regular exactly when some nonempty subset of the
+    c_i sums to 0, the column condition for one row; an equation of more
+    than MAX_COLS terms is unknown."""
     coeffs = [norm_scalar(c) for c in coeffs]
     if len(coeffs) < 2 or any(c == 0 for c in coeffs):
         raise ValueError("need >= 2 nonzero coefficients")
     vs = _names("v", len(coeffs))
     label = "equation(" + ",".join(str(c) for c in coeffs) + ")"
-    fails = len(coeffs) <= MAX_COLS and column_condition(Matrix([coeffs])) is None
-    return _family(label, vs, [_eq(*_linear(vs, coeffs))], "not-regular" if fails else "unknown")
+    wide = len(coeffs) > MAX_COLS
+    status = "unknown" if wide else "regular-by-paper" if column_condition(Matrix([coeffs])) else "not-regular"
+    return _family(label, vs, [_eq(*_linear(vs, coeffs))], status)
 
 
 def schur_system() -> EquationSystem:

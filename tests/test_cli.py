@@ -4,10 +4,15 @@ and the JSON run reports."""
 import argparse
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
 import time
+from sys import executable
 
 import pytest
 
+import radolab
 from radolab import systems
 from radolab.cli import MAX_RANGE, _apply_distinct, main
 from radolab.colorings import poly_vdw_witness, random_coloring
@@ -46,6 +51,15 @@ def test_check_cc_satisfied(capsys, matrix_file):
     code, out, _ = run(capsys, ["check-cc", matrix_file("1 1 -1")])
     assert code == 0
     assert "SATISFIED" in out and "[[1, 3], [2]]" in out
+
+
+def test_the_module_runs_as_a_program(matrix_file):
+    # the `python -m radolab.cli` entry point, in a process of its own
+    src = str(pathlib.Path(radolab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [executable, "-m", "radolab.cli", "check-cc", matrix_file("1 1 -1")]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "SATISFIED blocks=[[1, 3], [2]]\n", "")
 
 
 def test_check_cc_not_satisfied(capsys, matrix_file):
@@ -161,6 +175,18 @@ def test_solve_avoider_none_in_range(capsys):
     )
     assert code == 1
     assert "NONE-IN-RANGE" in out
+
+
+@pytest.mark.parametrize(
+    "coeffs, p", [([1] * 24, 101), (list(range(1, 25)), 2**127 - 1)], ids=["24-ones-p101", "24-coeffs-prime-p"]
+)
+def test_a_wide_avoider_is_checked_within_a_second(capsys, coeffs, p):
+    spec = "rado-avoider(" + ",".join(map(str, coeffs)) + f";{p})"
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["solve", "schur", "--coloring", spec, "--range", "10"])
+    assert time.perf_counter() - start < 1
+    # p > 10, so each of 1..10 has a colour of its own
+    assert (code, out, err) == (1, "NONE-IN-RANGE [1..10] [status=regular-by-paper]\n", "")
 
 
 def test_solve_reports_the_range_a_short_coloring_file_allows(capsys, tmp_path):
@@ -288,7 +314,7 @@ def test_template_refuses_arguments_its_family_does_not_take(capsys, spec, arity
 def test_solve_reads_a_fractional_equation_spec(capsys):
     # 1/2 x + 1/2 y = z: x = y = z solves it
     code, out, err = run(capsys, ["solve", "equation(1/2,1/2,-1)", "--coloring", "parity", "--range", "20"])
-    assert (code, out, err) == (0, "SOLUTION color=0 {'v1': 2, 'v2': 2, 'v3': 2} [status=unknown]\n", "")
+    assert (code, out, err) == (0, "SOLUTION color=0 {'v1': 2, 'v2': 2, 'v3': 2} [status=regular-by-paper]\n", "")
 
 
 @pytest.mark.parametrize(
@@ -300,9 +326,11 @@ def test_solve_reads_a_fractional_equation_spec(capsys):
         ("equation(1,1,-3)", "distinct", "not-regular"),
         ("equation(1,1,-3)", "nontrivial", "not-regular"),
         ("equation(2,3,5)", None, "not-regular"),
-        # 1 - 1 = 0, so the column condition alone decides nothing here
-        ("equation(1,2,-1)", None, "unknown"),
-        ("equation(1/2,1/2,-1)", None, "unknown"),
+        # 1 - 1 = 0: the column condition holds, so by Rado's theorem the
+        # equation is regular; --distinct asks for more, which stays unknown
+        ("equation(1,2,-1)", None, "regular-by-paper"),
+        ("equation(1/2,1/2,-1)", None, "regular-by-paper"),
+        ("equation(1,2,-1)", "distinct", "unknown"),
     ],
 )
 def test_solve_labels_an_equation_that_fails_the_column_condition(capsys, spec, distinct, status):
@@ -1032,6 +1060,7 @@ def test_each_subcommand_prints_its_pinned_output(
         ["fsfp", "--depth", "7"],
         ["solve", "schur", "--coloring", "rado-avoider(1,a;5)"],
         ["solve", "schur", "--coloring", "rado-avoider(" + ",".join(["1"] * (MAX_COLS + 1)) + ";101)"],
+        ["solve", "schur", "--coloring", f"rado-avoider({10**12 + 1},1,-3;{10**29 + 1})"],
         ["check-cc", "TOO-WIDE"],
         ["solve", "schur", "--coloring", "parity", "--range", str(10**20)],
         ["solve", "schur", "--coloring", "all-one", "--range", str(MAX_RANGE + 1)],
@@ -1046,6 +1075,7 @@ def test_each_subcommand_prints_its_pinned_output(
         "depth-7",
         "avoider-coeff",
         "avoider-too-many-coeffs",
+        "avoider-too-many-trial-divisions",
         "too-many-columns",
         "solve-huge-range",
         "solve-range-above-max",

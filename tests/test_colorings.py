@@ -5,11 +5,13 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from radolab.colorings import (
+    MAX_TRIAL,
     Coloring,
     ColoringTooShort,
     FSFPWitness,
@@ -450,6 +452,71 @@ def test_avoider_refuses_a_coefficient_that_is_not_an_integer(bad):
 def test_avoider_refuses_more_than_max_cols_coefficients():
     with pytest.raises(ValueError, match="too many coefficients"):
         RadoAvoider([1] * (MAX_COLS + 1), 101)
+
+
+def test_avoider_refuses_a_zero_coefficient_and_p_below_2():
+    with pytest.raises(ValueError, match="coefficients must be nonzero"):
+        RadoAvoider((1, 0, -3), 5)
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        RadoAvoider((1, 1, -3), 1)
+
+
+def _walk_all_subsets(coeffs, p):
+    """The avoider's refusal message by a walk of every subset in ascending
+    mask order, with one running sum and a gcd per subset, or None: the
+    oracle for the check by residues."""
+    prefix, steps = 0, []
+    for c in coeffs:
+        steps.append(c - prefix)
+        prefix += c
+    s = 0
+    for mask in range(1, 1 << len(coeffs)):
+        s += steps[(mask & -mask).bit_length() - 1]
+        if math.gcd(s, p) != 1:
+            bad = [c for i, c in enumerate(coeffs) if mask >> i & 1]
+            return (
+                f"subset {bad} of coefficients has a sum sharing a factor with {p}; "
+                "the avoider construction does not apply"
+            )
+    return None
+
+
+def test_avoider_refuses_with_the_message_of_a_walk_of_all_subsets():
+    rng = random.Random(24)
+    refused = composite = beyond = 0
+    for case in range(5000):
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 40) for _ in range(rng.randint(1, 10))]
+        p = rng.randint(2, 300) if case % 4 else rng.randint(2, 10**12)
+        composite += p <= 300 and any(p % q == 0 for q in range(2, math.isqrt(p) + 1))
+        beyond += p > sum(map(abs, coeffs))
+        want = _walk_all_subsets(coeffs, p)
+        try:
+            RadoAvoider(coeffs, p)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (coeffs, p)
+        refused += want is not None
+    assert 500 < refused < 4500 and composite > 1000 and beyond > 1000
+
+
+def test_avoider_check_is_fast_on_24_coefficients_and_a_30_digit_prime():
+    start = time.perf_counter()
+    RadoAvoider([1] * 24, 101)
+    RadoAvoider(list(range(1, 25)), 2**127 - 1)  # a Mersenne prime
+    with pytest.raises(ValueError, match=r"subset \[1, 2\] of coefficients"):
+        RadoAvoider([1, 2, 4, 8] * 6, 3 * (2**127 - 1))
+    assert time.perf_counter() - start < 1
+
+
+def test_avoider_refuses_a_check_of_more_than_max_trial_divisions():
+    # a 13-digit coefficient against a 30-digit p: both bounds on the trial
+    # divisors are far above MAX_TRIAL
+    with pytest.raises(ValueError, match=f"both exceed the trial bound {MAX_TRIAL}"):
+        RadoAvoider([10**12 + 1, 1, -3], 10**29 + 1)
+    # either bound alone at MAX_TRIAL is enough to be admitted
+    RadoAvoider([MAX_TRIAL - 1, 1], 2**127 - 1)
+    RadoAvoider([10**12 + 1, 1, -3], 10**12 + 39)  # a prime below (MAX_TRIAL + 1)^2
 
 
 def test_avoider_digit_colors():

@@ -131,6 +131,23 @@ def test_first_zero_sum_returns_the_mask_of_the_ascending_scan():
     assert 0 < found < 3000  # both outcomes occur
 
 
+def test_first_zero_sum_modulo_q_returns_the_first_mask_of_a_brute_force_scan():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(3000):
+        q = rng.randint(1, 12)
+        dim = rng.randint(1, 2)
+        vecs = [tuple(rng.randint(-30, 30) for _ in range(dim)) for _ in range(rng.randint(1, 9))]
+        sums = (
+            [sum(v[i] for j, v in enumerate(vecs) if mask >> j & 1) for i in range(dim)]
+            for mask in range(1, 1 << len(vecs))
+        )
+        want = next((mask for mask, s in enumerate(sums, 1) if all(x % q == 0 for x in s)), 0)
+        assert _first_zero_sum(vecs, q) == want, (vecs, q)
+        found += want != 0
+    assert 0 < found < 3000  # both outcomes occur
+
+
 def test_column_guard():
     with pytest.raises(ValueError):
         column_condition(Matrix([[1] * (MAX_COLS + 1)]))
@@ -178,6 +195,18 @@ def test_witness_validator_rejects_garbage():
     assert not validate_witness(A, ColumnPartitionWitness(((1, 2), (3,))))  # I1 not zero-sum
     assert not validate_witness(A, ColumnPartitionWitness(((1, 3),)))  # not covering
     assert not validate_witness(A, ColumnPartitionWitness(((1, 3), (2, 3))))  # overlap
+
+
+def test_witness_validator_rejects_a_bad_block_and_a_block_outside_the_span():
+    # each partition is valid in every other respect
+    assert validate_witness(SCHUR, ColumnPartitionWitness(((1, 3), (2,))))
+    assert not validate_witness(SCHUR, ColumnPartitionWitness(((1, 3), (), (2,))))  # empty block
+    assert not validate_witness(SCHUR, ColumnPartitionWitness(((1, 3), (2, 4))))  # column 4 of 3
+    assert not validate_witness(SCHUR, ColumnPartitionWitness(((1, 3), (0, 2))))  # column 0
+    # columns (1, 0), (-1, 0), (0, 1): the first block sums to 0, but the
+    # third column is outside the span of the first two
+    A = Matrix([[1, -1, 0], [0, 0, 1]])
+    assert not validate_witness(A, ColumnPartitionWitness(((1, 2), (3,))))
 
 
 def test_expand_matrix_examples():

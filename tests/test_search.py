@@ -654,6 +654,27 @@ def test_validate_solution_rejects_bad_records():
     assert not validate_solution(sys, c2, bad_color)
 
 
+@pytest.mark.parametrize("bad", [0, -1, Fraction(3, 2)])
+def test_validate_solution_rejects_a_value_that_is_not_a_positive_int(bad):
+    # x + y = z holds with x = bad, and every other value has colour 0
+    sys = schur_system()
+    rec = SolutionRecord(assignment={"x": bad, "y": 3, "z": bad + 3}, color=0, system=sys.name)
+    assert not validate_solution(sys, all_one_coloring(10), rec)
+
+
+def test_validate_solution_rejects_a_record_its_distinctness_policy_forbids():
+    c = all_one_coloring(10)
+    sys = schur_system()
+    rec = SolutionRecord(assignment={"x": 1, "y": 1, "z": 2}, color=0, system=sys.name)
+    assert validate_solution(sys, c, rec)
+    assert not validate_solution(dataclasses.replace(sys, distinctness="all-distinct"), c, rec)
+    # x + y = 2z has the constant solution 3, 3, 3
+    sys = single_equation([1, 1, -2])
+    rec = SolutionRecord(assignment={"v1": 3, "v2": 3, "v3": 3}, color=0, system=sys.name)
+    assert validate_solution(sys, c, rec)
+    assert not validate_solution(dataclasses.replace(sys, distinctness="nontrivial"), c, rec)
+
+
 def test_schur_solutions_one_per_orbit():
     # x and y are interchangeable: (2, 1, 3) and (3, 1, 4) are not repeated
     sols = list(_Plan(schur_system()).solutions([1, 2, 3, 4], _Nodes(None)))

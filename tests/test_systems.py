@@ -448,7 +448,7 @@ _PINS = {
     "mult-schur": ("mult-schur", ("mult-schur", ("x", "y", "z"), [[("1", "x*y"), ("-1", "z")]], "allow-repeats", "regular-by-paper")),
     "equation": (
         "equation(2,-3,1,-1)",
-        ("equation(2,-3,1,-1)", ("v1", "v2", "v3", "v4"), [[("2", "v1"), ("-3", "v2"), ("1", "v3"), ("-1", "v4")]], "allow-repeats", "unknown"),
+        ("equation(2,-3,1,-1)", ("v1", "v2", "v3", "v4"), [[("2", "v1"), ("-3", "v2"), ("1", "v3"), ("-1", "v4")]], "allow-repeats", "regular-by-paper"),
     ),
     "poly-sum-product": (
         "poly-sum-product(2,2,z^2+z,3z^3-1/2z)",
@@ -608,8 +608,17 @@ def test_nonlinear_rado_builds_its_pinned_system():
         ("x1", "x2", "y1", "y2", "z"),
         [[("1", "x1"), ("-3/2", "y1"), ("1", "z"), ("1", "z^2")], [("2", "x1"), ("-1", "x2"), ("-1", "y2"), ("-1", "z^3")]],
         "allow-repeats",
-        "regular-by-paper",
+        "unknown",
     )
+
+
+def test_nonlinear_rado_is_labelled_unknown_whether_or_not_a_satisfies_the_column_condition():
+    # the paper's hypothesis is the column condition on A, which the builder
+    # leaves to column_condition: [[1, 1, -3]] fails it, [[1, 1, -1]] holds it
+    for rows, holds in (([[1, 1, -3]], False), ([[1, 1, -1]], True)):
+        A = Matrix(rows)
+        assert (column_condition(A) is not None) == holds
+        assert build_nonlinear_rado(A, [poly_parse("z^2")]).status == "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +674,7 @@ def test_single_equation_is_not_regular_exactly_when_no_subset_sums_to_zero():
     pool = [-4, -3, -2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2)]
     for _ in range(300):
         coeffs = [rng.choice(pool) for _ in range(rng.randint(2, 8))]
-        want = "unknown" if column_condition(Matrix([coeffs])) else "not-regular"
+        want = "regular-by-paper" if column_condition(Matrix([coeffs])) else "not-regular"
         assert single_equation(coeffs).status == want, coeffs
 
 
@@ -676,6 +685,6 @@ def test_a_wide_equation_is_labelled_at_once():
     assert single_equation([1] * 24).status == "not-regular"
     # signed powers of 3: balanced ternary writes 0 only with no digit
     assert single_equation([(-3) ** i for i in range(24)]).status == "not-regular"
-    assert single_equation([1] * 23 + [-23]).status == "unknown"
+    assert single_equation([1] * 23 + [-23]).status == "regular-by-paper"
     assert single_equation([1] * 25).status == "unknown"  # more than MAX_COLS terms
     assert time.perf_counter() - start < 2
