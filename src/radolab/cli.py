@@ -272,6 +272,7 @@ def cmd_export_cnf(args) -> int:
     _check_range(args)
     sys_ = _apply_distinct(_load_system(args.system), args)
     _check_colors(args.colors)
+    search.check_cnf_size(args.colors, args.range)
     try:
         # opened first, so a bad --out fails before the enumeration
         with open(args.out, "w") as fh:

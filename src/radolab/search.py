@@ -589,10 +589,12 @@ def _value_sets(sys, N, nodes):
 def _solution_index(sys, M, nodes):
     """The solution hypergraph on [1..M], indexed by second-largest member,
     and the bitmask of the integers k whose one-member set {k} is a value
-    set.  Entry j of the index holds, for each value set of two or more
-    members whose second-largest member is j, the pair (rest, u): u is the
+    set.  Entry j of the index holds the value sets of two or more members
+    whose second-largest member is j, each as the pair (rest, u): u is the
     set's maximum and rest the bitmask of its members below j (bit v stands
-    for the integer v)."""
+    for the integer v).  The entry is (n, keys, pairs, memo): n the number of
+    pairs, keys the OR of their rests, and memo the results of `_forbidden`
+    for j so far."""
     index = [set() for _ in range(M + 1)]
     single = 0
     for s in _value_sets(sys, M, nodes):
@@ -603,17 +605,39 @@ def _solution_index(sys, M, nodes):
         for v in s[:-2]:
             rest |= 1 << v
         index[s[-2]].add((rest, s[-1]))
-    return [tuple(e) for e in index], single
+    entries = []
+    for pairs in index:
+        keys = 0
+        for rest, _ in pairs:
+            keys |= rest
+        entries.append((len(pairs), keys, tuple(pairs), {}))
+    return entries, single
 
 
-def _forbid(f, entries, mask):
-    """The forbid mask f of a color after its class grows to `mask` by the
-    integer j whose index entries are `entries`: each set with all its
-    members below j in the class forbids the color at its maximum."""
-    for rest, u in entries:
-        if rest & mask == rest:
-            f |= 1 << u
-    return f
+# the most results one memo of `_forbidden` holds before it is emptied
+_MEMO_SIZE = 256
+
+
+def _forbidden(entry, mask):
+    """The bitmask of the integers at which a color becomes forbidden when
+    its class grows to `mask` by the integer j whose index entry is `entry`:
+    the maxima of the sets whose members below j are all in the class.  It
+    depends only on mask & keys, the class cut down to the integers that j's
+    sets read, so each such part is looked up in the entry's memo and the
+    pairs are scanned only the first time it occurs.  The memo is emptied
+    when it holds `_MEMO_SIZE` results."""
+    _, keys, pairs, memo = entry
+    key = mask & keys
+    bits = memo.get(key)
+    if bits is None:
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        bits = 0
+        for rest, u in pairs:
+            if rest & key == rest:
+                bits |= 1 << u
+        memo[key] = bits
+    return bits
 
 
 def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumberResult:
@@ -646,16 +670,27 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
     min(N, 8) and grows by half (to M * 3 // 2), up to N, when the search
     first goes deeper than M; the forbid masks of the current prefix are
     then recomputed from the new index.  The search's lists grow with M,
-    not with N.  `nodes` counts enumeration steps, colors tried and value
-    sets examined while forbidding colors, all charged to
-    `budget.node_limit`.  A search whose budget runs out during an
-    enumeration never reports a value.
+    not with N.  `nodes` counts enumeration steps, colors tried and, when k
+    gets a color, one node per value set indexed under k, all charged to
+    `budget.node_limit`; the budget is checked once per color tried.  A
+    search whose budget runs out during an enumeration never reports a
+    value.
+
+    The colors a value set forbids when k gets color c depend only on k and
+    on the part of c's class that k's sets read, the class ANDed with the
+    OR of their members below k.  Each index entry keeps a memo from that
+    part to the forbidden bits, so the sets are scanned only the first time
+    a part occurs; a memo is emptied when it holds `_MEMO_SIZE` results, so
+    the memos hold at most `_MEMO_SIZE` * M results, and they are dropped
+    with the index when M grows.  A node is charged per set whether or not
+    the memo answers, so the node count does not depend on the memo.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     N = budget.N
-    nodes = _Nodes(budget.node_limit)
+    nodes = _Nodes(budget.node_limit)  # charged by the enumerations
     cap = math.inf if budget.node_limit is None else budget.node_limit
+    count = 0  # nodes spent, kept here and synced with nodes around each enumeration
     # per depth k, grown with M: colors[k] is the color of k in the current
     # prefix, undo[k] the forbid mask of that color before k got it,
     # next_color[k] the next color to try at k, used[k] the number of colors
@@ -681,12 +716,16 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                     forb[c] = undo[k]
                 continue
             next_color[k] = c + 1
-            nodes.count += 1  # nodes.spend() inline: this loop is the hot path
-            if nodes.count > cap:
+            count += 1  # nodes.spend() inline: this loop is the hot path
+            if count > cap:
                 raise BudgetExhausted
             if k > M:
                 grown = min(N, max(8, M * 3 // 2))
-                index, single = _solution_index(sys, grown, nodes)
+                nodes.count = count
+                try:
+                    index, single = _solution_index(sys, grown, nodes)
+                finally:
+                    count = nodes.count
                 for a in (colors, undo, next_color, used):
                     a.extend([0] * (grown - M))
                 M = grown
@@ -697,16 +736,17 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
                 for d in range(1, k):
                     cd = colors[d]
                     undo[d] = forb[cd]
-                    nodes.count += len(index[d])
-                    forb[cd] = _forbid(forb[cd], index[d], masks[cd])
+                    count += index[d][0]
+                    forb[cd] |= _forbidden(index[d], masks[cd])
             f = forb[c]
             if f >> k & 1:
                 continue
             colors[k] = c
             undo[k] = f
             mask = masks[c] = masks[c] | 1 << k
-            nodes.count += len(index[k])
-            f = forb[c] = _forbid(f, index[k], mask)
+            entry = index[k]
+            count += entry[0]
+            f = forb[c] = f | _forbidden(entry, mask)
             if k > len(best):
                 best = tuple(colors[1 : k + 1])
                 reach = (4 << k) - 1
@@ -729,7 +769,7 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
     return RadoNumberResult(
         value=value,
         avoider=avoider,
-        nodes=nodes.count,
+        nodes=count,
         exhausted=exhausted,
         pruned=pruned,
     )
@@ -741,6 +781,23 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
 
 CNF_TUPLE_LIMIT = 200000  # node limit of the enumeration behind export_cnf
 CNF_TRUNCATED = "c WARNING: solution-tuple enumeration truncated; instance under-approximates"
+# the most clauses export_cnf writes to give each integer one color: every
+# range up to 10^6 at 4 colors fits (7 clauses per integer)
+CNF_CLAUSE_LIMIT = 10**7
+
+
+def check_cnf_size(r: int, N: int) -> None:
+    """Refuse, with a ValueError, an export_cnf instance whose clauses that
+    give each of the N integers exactly one of r colors, N * (1 + r(r-1)/2)
+    of them, exceed `CNF_CLAUSE_LIMIT`."""
+    if r < 1 or N < 1:
+        raise ValueError("r and N must be positive")
+    need = N * (1 + r * (r - 1) // 2)
+    if need > CNF_CLAUSE_LIMIT:
+        raise ValueError(
+            f"{N:,} integers with {r} colors take {need:,} clauses to give each one color,"
+            f" above the limit of {CNF_CLAUSE_LIMIT:,}"
+        )
 
 
 def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
@@ -749,10 +806,10 @@ def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
     exactly one color and block every solution tuple from being monochromatic.
 
     When tuple enumeration hits `CNF_TUPLE_LIMIT` nodes the instance is an
-    under-approximation and carries the comment line `CNF_TRUNCATED`.
+    under-approximation and carries the comment line `CNF_TRUNCATED`.  An
+    instance above `CNF_CLAUSE_LIMIT` is refused first (`check_cnf_size`).
     """
-    if r < 1 or N < 1:
-        raise ValueError("r and N must be positive")
+    check_cnf_size(r, N)
     truncated = False
     tuples = {}  # the value sets, once each, in enumeration order
     try:

@@ -201,6 +201,13 @@ def _names(prefix: str, k: int) -> tuple:
     return tuple(f"{prefix}{i}" for i in range(1, k + 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _rado_variables(n: int, m: int) -> tuple:
+    """The variables x_1..x_{n-1}, y_1..y_m, z of `build_nonlinear_rado`,
+    shared by every system built from an m x n matrix."""
+    return (*_names("x", n - 1), *_names("y", m), "z")
+
+
 def _ap_row(xs, i):
     """The terms of x_1 + i*x_2 + x_3 + ... + x_n."""
     return _linear(xs, [1, i] + [1] * (len(xs) - 2))
@@ -223,7 +230,7 @@ def build_nonlinear_rado(A: Matrix, polys) -> EquationSystem:
         raise ValueError(f"need {m} polynomials, got {len(polys)}")
     xs, ys = _names("x", n - 1), _names("y", m)
     eqs = [_eq(*_linear((*xs, y), row), *_poly(p, "z", 1)) for row, y, p in zip(A.rows, ys, polys)]
-    return _family("nonlinear-rado", (*xs, *ys, "z"), eqs, "unknown")
+    return _family("nonlinear-rado", _rado_variables(n, m), eqs, "unknown")
 
 
 def single_equation(coeffs) -> EquationSystem:

@@ -1068,6 +1068,7 @@ def test_each_subcommand_prints_its_pinned_output(
         ["polyvdw", "--polys", "z", "--range", str(10**20)],
         ["polyvdw", "--coloring", "random(3)", "--range", "50", "--polys", "0z"],
         ["export-cnf", "schur", "--colors", "2", "--range", str(10**8), "--out", "OUT"],
+        ["export-cnf", "schur", "--colors", "40", "--range", str(MAX_RANGE), "--out", "OUT"],
     ],
     ids=[
         "range-0",
@@ -1083,6 +1084,7 @@ def test_each_subcommand_prints_its_pinned_output(
         "polyvdw-huge-range",
         "polyvdw-zero-polys",
         "export-cnf-huge-range",
+        "export-cnf-too-many-clauses",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, matrix_file, tmp_path, argv):

@@ -881,6 +881,136 @@ def test_rado_number_deep_search_has_no_recursion_limit():
     assert res.avoider.N == 1100
 
 
+def _plain_forbid(f, entries, mask):
+    """The forbid step as a plain loop, without a memo: each set with all
+    its members below j in the class forbids the color at its maximum."""
+    for rest, u in entries:
+        if rest & mask == rest:
+            f |= 1 << u
+    return f
+
+
+def _index_entry(pairs):
+    """An index entry of `_solution_index` for the (rest, u) pairs given."""
+    keys = 0
+    for rest, _ in pairs:
+        keys |= rest
+    return len(pairs), keys, tuple(pairs), {}
+
+
+def test_memoised_forbid_step_equals_the_plain_loop(monkeypatch):
+    # the entries of real indexes, rests of two or more members included
+    # (x1 + x2 + x3 + x4 = x5), and random ones; each class is asked twice,
+    # so the second answer comes from the memo, and a bound of 3 empties
+    # the memos often
+    entries = []
+    for sys in (schur_system(), single_equation([1, 1, 1, 1, -1])):
+        index, _ = search._solution_index(sys, 30, _Nodes(None))
+        for j, entry in enumerate(index):
+            assert entry[:3] == _index_entry(entry[2])[:3]
+            entries.append((j, entry))
+    assert any(rest & (rest - 1) for _, (_, _, pairs, _) in entries for rest, _ in pairs)
+    rng = random.Random(25)
+    for _ in range(40):
+        j = rng.randint(2, 30)
+        rests = (sum(1 << v for v in rng.sample(range(1, j), rng.randint(0, min(4, j - 1)))) for _ in range(12))
+        entries.append((j, _index_entry({(rest, rng.randint(j + 1, 60)) for rest in rests})))
+    for bound in (search._MEMO_SIZE, 3):
+        monkeypatch.setattr(search, "_MEMO_SIZE", bound)
+        for j, entry in entries:
+            entry[3].clear()
+            for _ in range(20):
+                # the class: random integers below j, j itself and some above
+                below = rng.getrandbits(j)
+                if rng.random() < 0.5:
+                    below &= rng.getrandbits(j)
+                mask = below | 1 << j | rng.getrandbits(64) << j + 1
+                for _ in range(2):
+                    assert search._forbidden(entry, mask) == _plain_forbid(0, entry[2], mask), (j, mask)
+            assert len(entry[3]) <= bound
+
+
+def _rado_answer(res):
+    return res.value, res.nodes, res.pruned, res.exhausted, res.avoider
+
+
+def test_rado_number_does_not_depend_on_the_memo(monkeypatch):
+    # a memo of one result misses nearly every time; the value, the node
+    # and prune counts, the outcome and the avoider stay the same, also
+    # when the budget runs out, at limits spread over the whole search
+    ap3 = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
+    weak = dataclasses.replace(single_equation([1, 1, -1]), distinctness="all-distinct")
+    corpus = [
+        (schur_system(), 3),
+        (schur_system(), 4),
+        (ap3, 3),
+        (weak, 3),
+        (single_equation([1, 1, 1, 1, -1]), 2),
+        (single_equation([1, 3, -1]), 2),
+    ]
+    rng = random.Random(25)
+    for sys, r in corpus:
+        full = rado_number(sys, r, SearchBudget(N=30, node_limit=20_000))
+        for limit in (*sorted(rng.sample(range(1, full.nodes), 6)), 20_000):
+            budget = SearchBudget(N=30, node_limit=limit)
+            want = _rado_answer(rado_number(sys, r, budget))
+            monkeypatch.setattr(search, "_MEMO_SIZE", 1)
+            assert _rado_answer(rado_number(sys, r, budget)) == want, (sys.name, r, limit)
+            monkeypatch.undo()
+
+
+def test_rado_number_memos_stay_within_their_bound(monkeypatch):
+    # W(3;3): unbounded, one memo of this search would hold more than
+    # _MEMO_SIZE results
+    ap3 = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
+    indexes = []
+
+    def keep(*args):
+        index, single = solution_index(*args)
+        indexes.append(index)
+        return index, single
+
+    solution_index = search._solution_index
+    monkeypatch.setattr(search, "_solution_index", keep)
+    budget = SearchBudget(N=30, node_limit=500_000)
+    largest = {}
+    for bound in (10**9, search._MEMO_SIZE):
+        monkeypatch.setattr(search, "_MEMO_SIZE", bound)
+        indexes.clear()
+        assert rado_number(ap3, 3, budget).value == 27
+        largest[bound] = max(len(memo) for index in indexes for _, _, _, memo in index)
+    assert largest[10**9] > search._MEMO_SIZE >= largest[search._MEMO_SIZE]
+
+
+# (coefficients, distinctness, colors, node limit) -> (value, nodes, pruned,
+# exhausted, avoider length) at N = 60: the avoider-search queries of the
+# benchmark.  A change of node unit moves these counts.
+_BENCH_RADO = {
+    ((1, 1, -1), "allow-repeats", 2, None): (5, 44, 2, False, 4),
+    ((1, 1, -1), "allow-repeats", 3, None): (14, 2068, 85, False, 13),
+    ((1, 1, 1, -1), "allow-repeats", 2, None): (11, 385, 6, False, 10),
+    ((1, 1, 1, 1, -1), "allow-repeats", 2, None): (19, 10562, 15, False, 18),
+    ((1, 1, -2), "nontrivial", 2, None): (9, 238, 9, False, 8),
+    ((1, 1, -1), "all-distinct", 2, None): (9, 201, 8, False, 8),
+    ((1, 2, -1), "allow-repeats", 2, None): (11, 181, 6, False, 10),
+    ((1, 3, -1), "allow-repeats", 2, None): (19, 703, 16, False, 18),
+    ((1, 1, -3), "allow-repeats", 2, None): (9, 113, 1, False, 8),
+    ((1, 1, -4), "allow-repeats", 2, None): (10, 105, 1, False, 9),
+    ((1, 1, -2), "nontrivial", 3, 500_000): (27, 389_016, 10_789, False, 26),
+    ((1, 1, -1), "all-distinct", 3, 500_000): (24, 142_848, 4_574, False, 23),
+    ((1, 1, -1), "allow-repeats", 4, 500_000): (None, 500_003, 8_782, True, 43),
+}
+
+
+@pytest.mark.parametrize("query", _BENCH_RADO, ids=lambda q: f"{q[0]}-{q[1]}-r{q[2]}")
+def test_rado_number_bench_queries_are_pinned(query):
+    coeffs, distinctness, r, limit = query
+    sys = dataclasses.replace(single_equation(list(coeffs)), distinctness=distinctness)
+    res = rado_number(sys, r, SearchBudget(N=60, node_limit=limit))
+    got = (res.value, res.nodes, res.pruned, res.exhausted, res.avoider.N if res.avoider else None)
+    assert got == _BENCH_RADO[query]
+
+
 # ---------------------------------------------------------------------------
 # avoider consistency
 
@@ -1020,6 +1150,14 @@ def test_cnf_bench_instances_are_pinned():
         (ap3, 2, 300, "1f92535fd5ca91f63edb084cf04a4830c8cf082e4fe670495b863e3c17ec49c2"),
     ):
         assert hashlib.sha256(export_cnf(sys, r, N).encode()).hexdigest() == digest, sys
+
+
+def test_cnf_refuses_more_one_color_clauses_than_the_limit(monkeypatch):
+    # with 3 colors each integer takes 1 + 3 clauses: 5 integers fit in 20
+    monkeypatch.setattr(search, "CNF_CLAUSE_LIMIT", 20)
+    assert export_cnf(schur_system(), 3, 5) == _reference_cnf(schur_system(), 3, 5)
+    with pytest.raises(ValueError, match="6 integers with 3 colors take 24 clauses .* limit of 20"):
+        export_cnf(schur_system(), 3, 6)
 
 
 def test_cnf_truncation_flag(monkeypatch):

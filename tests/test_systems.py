@@ -16,6 +16,7 @@ from radolab.systems import (
     Monomial,
     _TEMPLATES,
     _pair,
+    _rado_variables,
     ap_times_power,
     ap_times_product,
     build_nonlinear_rado,
@@ -663,6 +664,19 @@ def test_built_terms_are_the_cached_pairs():
             for t in eq.terms:
                 ((v, e),) = t[1].exps
                 assert t is _pair(t[0], v, e)
+
+
+def test_built_variables_are_the_cached_tuple():
+    # every system built from a matrix of one shape holds the one variables
+    # tuple _rado_variables hands out for that shape
+    rng = random.Random(25)
+    for m, n in ((1, 3), (2, 4), (3, 5)):
+        polys = [poly_parse("z^2")] * m
+        for _ in range(10):
+            A = Matrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(m)])
+            variables = build_nonlinear_rado(A, polys).variables
+            assert variables is _rado_variables(n, m)
+        assert variables == (*(f"x{j}" for j in range(1, n)), *(f"y{i}" for i in range(1, m + 1)), "z")
 
 
 # ---------------------------------------------------------------------------
