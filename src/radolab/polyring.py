@@ -11,6 +11,10 @@ import re
 from .exactq import Scalar, norm_scalar, parse_scalar
 
 
+# the largest exponent: the searches raise values up to --range to each one
+MAX_EXPONENT = 64
+
+
 class PolyParseError(ValueError):
     pass
 
@@ -136,6 +140,8 @@ def poly_parse(text: str) -> Poly:
             var = v
         elif v != var:
             raise PolyParseError(f"mixed variable letters {var!r} and {v!r}")
+        if d > MAX_EXPONENT:
+            raise PolyParseError(f"exponent {d} in {text!r} is above {MAX_EXPONENT}")
         if neg:
             c = -c
         coeffs[d] = coeffs.get(d, 0) + c

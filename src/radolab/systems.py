@@ -10,11 +10,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactq import Matrix, Scalar, Vector, mat_vec, norm_scalar, parse_scalar
-from .polyring import Poly, poly_parse
+from .polyring import MAX_EXPONENT, Poly, poly_parse
 from .radomat import MAX_COLS, column_condition
 
 DISTINCTNESS = ("allow-repeats", "all-distinct", "nontrivial")
 STATUS = ("regular-by-paper", "not-regular", "unknown")
+# the most variables a system may have: `search._Plan` compiles in quadratic time
+MAX_VARIABLES = 64
 
 
 class Monomial:
@@ -27,6 +29,8 @@ class Monomial:
         for v, e in (exps or {}).items():
             if isinstance(e, bool) or not isinstance(e, int) or e < 1:
                 raise ValueError(f"the exponent of {v} must be a positive integer, not {e!r}")
+            if e > MAX_EXPONENT:
+                raise ValueError(f"the exponent {e} of {v} is above {MAX_EXPONENT}")
             items.append((str(v), e))
         object.__setattr__(self, "exps", tuple(sorted(items)))
 
@@ -134,7 +138,11 @@ class EquationSystem:
             raise ValueError(f"bad distinctness {self.distinctness!r}")
         if self.status not in STATUS:
             raise ValueError(f"bad status {self.status!r}")
+        if not 1 <= len(self.variables) <= MAX_VARIABLES:
+            raise ValueError(f"a system needs 1 to {MAX_VARIABLES} variables, not {len(self.variables)}")
         declared = set(self.variables)
+        if len(declared) < len(self.variables):
+            raise ValueError(f"repeated variable names in {list(self.variables)}")
         for eq in self.equations:
             undeclared = [v for v in eq.variables() if v not in declared]
             if undeclared:
@@ -198,6 +206,8 @@ def _linear(vs, coeffs=None):
 def _names(prefix: str, k: int) -> tuple:
     """("prefix1", ..., "prefixk"), shared by every system and assignment
     that names these variables."""
+    if k > MAX_VARIABLES:
+        raise ValueError(f"{k} variables {prefix}1, {prefix}2, ... are more than {MAX_VARIABLES}")
     return tuple(f"{prefix}{i}" for i in range(1, k + 1))
 
 

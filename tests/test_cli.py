@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import random
 import subprocess
 import time
 from sys import executable
@@ -1069,6 +1070,8 @@ def test_each_subcommand_prints_its_pinned_output(
         ["polyvdw", "--coloring", "random(3)", "--range", "50", "--polys", "0z"],
         ["export-cnf", "schur", "--colors", "2", "--range", str(10**8), "--out", "OUT"],
         ["export-cnf", "schur", "--colors", "40", "--range", str(MAX_RANGE), "--out", "OUT"],
+        *([cmd, system, "--range", "5"] for system in ("REPEATED", "NO-VARIABLES") for cmd in ("solve", "rado-number")),
+        *(["export-cnf", system, "--range", "5", "--out", "OUT"] for system in ("REPEATED", "NO-VARIABLES")),
     ],
     ids=[
         "range-0",
@@ -1085,12 +1088,22 @@ def test_each_subcommand_prints_its_pinned_output(
         "polyvdw-zero-polys",
         "export-cnf-huge-range",
         "export-cnf-too-many-clauses",
+        "solve-repeated-variables",
+        "rado-number-repeated-variables",
+        "solve-no-variables",
+        "rado-number-no-variables",
+        "export-cnf-repeated-variables",
+        "export-cnf-no-variables",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, matrix_file, tmp_path, argv):
-    wide = matrix_file(" ".join(["1"] * (MAX_COLS + 1)))
+    files = {
+        "TOO-WIDE": matrix_file(" ".join(["1"] * (MAX_COLS + 1))),
+        "REPEATED": matrix_file(json.dumps({"name": "s", "variables": ["x", "x", "y"], "equations": []}), "repeated.json"),
+        "NO-VARIABLES": matrix_file(json.dumps({"name": "s", "variables": [], "equations": []}), "none.json"),
+    }
     out = tmp_path / "refused.cnf"
-    code, _, err = run(capsys, [{"TOO-WIDE": wide, "OUT": str(out)}.get(a, a) for a in argv])
+    code, _, err = run(capsys, [{**files, "OUT": str(out)}.get(a, a) for a in argv])
     assert code == 2
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
@@ -1124,3 +1137,73 @@ def test_json_report_reproducible(capsys, matrix_file):
     p1.pop("elapsed_s")
     p2.pop("elapsed_s")
     assert p1 == p2
+
+
+def _corpus_systems(rng, files):
+    """Template specs with parameter counts off by one and zero, negative and
+    huge parameters, and the JSON system files of `files`."""
+    numbers = ("0", "-1", "1", "2", "2", "3", "3", "1/2", str(10**9), str(10**30))
+    polys = ("z", "z^2", "2z^2 - z", "z^64", "z^65", "z^1000000000", "0")
+    specs = list(files.values())
+    specs += ["equation(1,1,-2)", "poly-sum-product(1,1,z^2)", "sums-with-poly(2,z^2)", "power-product(z^2,z^3)"]
+    specs += ["ap-times-product(1,1,3)", "ap-times-power(2,2,3)", "rational-function(2,z,z^2)", "concluding-1(z,z,z)"]
+    specs += ["concluding-2(z,z^2)", "concluding-3(z,z,z)"]
+    for family, (n_ints, n_polys, _) in systems._TEMPLATES.items():
+        specs.append(family)
+        for ints in range(4) if n_ints is None else (n_ints - 1, n_ints, n_ints + 1):
+            for k in range(3) if n_polys is None else (n_polys - 1, n_polys, n_polys + 1):
+                if ints >= 0 and k >= 0:
+                    args = [rng.choice(numbers) for _ in range(ints)] + [rng.choice(polys) for _ in range(k)]
+                    specs.append(f"{family}({','.join(args)})")
+    return specs
+
+
+def test_seeded_cli_corpus_exits_0_to_3_without_a_traceback(capsys, matrix_file, tmp_path):
+    # each input runs in-process, so an exception that escapes main fails
+    # the test with its traceback
+    rng = random.Random(26)
+
+    def x_power_is_y(e):
+        return [{"terms": [{"coeff": 1, "monomial": {"x": e}}, {"coeff": -1, "monomial": {"y": 1}}]}]
+
+    systems_json = {
+        "no-variables": {"variables": [], "equations": []},
+        "no-equations": {"variables": ["x"], "equations": []},
+        "repeated": {"variables": ["x", "x", "y"], "equations": x_power_is_y(1)},
+        "constant-only": {"variables": ["x"], "equations": [{"terms": [{"coeff": 5}]}]},
+        "zero-constant": {"variables": ["x", "y"], "equations": [{"terms": [{"coeff": 0}]}]},
+        **{f"exponent-{e}": {"variables": ["x", "y"], "equations": x_power_is_y(e)} for e in (64, 65, 10**9)},
+        "65-variables": {"variables": [f"v{i}" for i in range(65)], "equations": []},
+    }
+    files = {name: matrix_file(json.dumps({"name": name, **data}), f"{name}.json") for name, data in systems_json.items()}
+    colorings = ["all-one", "parity", "random", "random(7)", "random(-3)", "random(", "rado-avoider(1,1,-3;5)"]
+    colorings += ["rado-avoider(1,2;0)", "rado-avoider(0;7)", matrix_file("5 2\n0 1 0 1 0\n", "c.txt"), "bogus"]
+    ranges = ["-1", "0", "1", "2", "30", str(MAX_RANGE + 1)]
+    colors = ["-1", "0", "1", "2", "3", str(10**9)]
+    out = str(tmp_path / "corpus.cnf")
+    corpus, budget = [], ["--budget-nodes", "500"]
+    for spec in _corpus_systems(rng, files):
+        corpus += [
+            ["solve", spec, "--coloring", rng.choice(colorings[:3]), "--range", "30", *budget],
+            ["rado-number", spec, "--range", "30", *budget],
+            ["export-cnf", spec, "--range", "12", "--out", out],
+            # the same at the edges of --range, --colors and --budget-nodes
+            ["solve", spec, "--coloring", rng.choice(colorings), "--range", rng.choice(ranges), "--budget-nodes", "1"],
+            ["rado-number", spec, "--range", rng.choice(ranges + [str(10**20)]), "--colors", rng.choice(colors), *budget],
+            ["export-cnf", spec, "--range", rng.choice(ranges[:5]), "--colors", rng.choice(colors[:5]), "--out", out],
+        ]
+    for coloring in colorings:
+        base = ["--coloring", coloring, "--range", rng.choice(ranges[:5])]
+        corpus += [
+            ["solve", "schur", *base, "--colors", rng.choice(colors)],
+            ["fsfp", *base, "--depth", rng.choice(["-1", "0", "1", "2", "7"])],
+            ["polyvdw", *base, "--polys", rng.choice(["z", "z^2, 2z^2", "z^65", "0z", ""])],
+        ]
+    start = time.perf_counter()
+    for argv in corpus:
+        code, stdout, err = run(capsys, argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in stdout + err, argv
+    assert time.perf_counter() - start < 20

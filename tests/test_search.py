@@ -881,8 +881,24 @@ def test_rado_number_deep_search_has_no_recursion_limit():
     assert res.avoider.N == 1100
 
 
+def test_rado_number_cost_does_not_grow_with_colors():
+    # by depth k at most k colors are in use, so on [1..30] a million colors
+    # search exactly as 31 do, in lists of 31 masks
+    ap3 = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
+    for sys in (schur_system(), ap3):
+        want = _rado_answer(rado_number(sys, 31, _budget(30)))
+        tracemalloc.start()
+        try:
+            got = _rado_answer(rado_number(sys, 10**6, _budget(30)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[:4] == want[:4] and got[4].colors == want[4].colors
+        assert peak < 1_000_000
+
+
 def _plain_forbid(f, entries, mask):
-    """The forbid step as a plain loop, without a memo: each set with all
+    """The forbid step as a plain loop, without a cache: each set with all
     its members below j in the class forbids the color at its maximum."""
     for rest, u in entries:
         if rest & mask == rest:
@@ -890,44 +906,42 @@ def _plain_forbid(f, entries, mask):
     return f
 
 
-def _index_entry(pairs):
-    """An index entry of `_solution_index` for the (rest, u) pairs given."""
-    keys = 0
-    for rest, _ in pairs:
-        keys |= rest
-    return len(pairs), keys, tuple(pairs), {}
+def _pairs(sys, M):
+    """Per integer j <= M, the (rest, u) pairs of the value sets of `sys` on
+    [1..M] whose second-largest member is j, as `_solution_index` reads them."""
+    pairs = [set() for _ in range(M + 1)]
+    for s in search._value_sets(sys, M, _Nodes(None)):
+        if len(s) > 1:
+            pairs[s[-2]].add((sum(1 << v for v in s[:-2]), s[-1]))
+    return pairs
 
 
 def test_memoised_forbid_step_equals_the_plain_loop(monkeypatch):
-    # the entries of real indexes, rests of two or more members included
-    # (x1 + x2 + x3 + x4 = x5), and random ones; each class is asked twice,
-    # so the second answer comes from the memo, and a bound of 3 empties
-    # the memos often
-    entries = []
-    for sys in (schur_system(), single_equation([1, 1, 1, 1, -1])):
-        index, _ = search._solution_index(sys, 30, _Nodes(None))
-        for j, entry in enumerate(index):
-            assert entry[:3] == _index_entry(entry[2])[:3]
-            entries.append((j, entry))
-    assert any(rest & (rest - 1) for _, (_, _, pairs, _) in entries for rest, _ in pairs)
+    # the real indexes of x + y = z and x1 + x2 + x3 + x4 = x5, whose rests
+    # have two or more members, at M = 30; each class is asked twice, so
+    # the second answer can come from the cache, and a bound of one result
+    # per integer makes the caches evict
     rng = random.Random(25)
-    for _ in range(40):
-        j = rng.randint(2, 30)
-        rests = (sum(1 << v for v in rng.sample(range(1, j), rng.randint(0, min(4, j - 1)))) for _ in range(12))
-        entries.append((j, _index_entry({(rest, rng.randint(j + 1, 60)) for rest in rests})))
-    for bound in (search._MEMO_SIZE, 3):
+    for bound in (search._MEMO_SIZE, 1):
         monkeypatch.setattr(search, "_MEMO_SIZE", bound)
-        for j, entry in entries:
-            entry[3].clear()
-            for _ in range(20):
-                # the class: random integers below j, j itself and some above
-                below = rng.getrandbits(j)
-                if rng.random() < 0.5:
-                    below &= rng.getrandbits(j)
-                mask = below | 1 << j | rng.getrandbits(64) << j + 1
-                for _ in range(2):
-                    assert search._forbidden(entry, mask) == _plain_forbid(0, entry[2], mask), (j, mask)
-            assert len(entry[3]) <= bound
+        for sys in (schur_system(), single_equation([1, 1, 1, 1, -1])):
+            pairs = _pairs(sys, 30)
+            sizes, keys, forbidden, _ = search._solution_index(sys, 30, _Nodes(None))
+            assert sizes == [len(p) for p in pairs]
+            assert keys == [sum(1 << v for v in range(31) if any(rest >> v & 1 for rest, _ in p)) for p in pairs]
+            for j in range(2, 31):
+                for _ in range(20):
+                    # the class: random integers below j, j itself and some above
+                    below = rng.getrandbits(j)
+                    if rng.random() < 0.5:
+                        below &= rng.getrandbits(j)
+                    mask = below | 1 << j | rng.getrandbits(64) << j + 1
+                    for _ in range(2):
+                        assert forbidden(j, mask & keys[j]) == _plain_forbid(0, pairs[j], mask), (j, mask)
+            info = forbidden.cache_info()
+            assert info.maxsize == bound * 30 and info.currsize <= info.maxsize
+            assert info.hits
+        assert any(rest & (rest - 1) for p in pairs for rest, _ in p)
 
 
 def _rado_answer(res):
@@ -960,26 +974,27 @@ def test_rado_number_does_not_depend_on_the_memo(monkeypatch):
 
 
 def test_rado_number_memos_stay_within_their_bound(monkeypatch):
-    # W(3;3): unbounded, one memo of this search would hold more than
-    # _MEMO_SIZE results
+    # W(3;3): every forbid cache stays within its _MEMO_SIZE * M results;
+    # at one result per integer the caches fill and evict, and the value
+    # stays the same
     ap3 = dataclasses.replace(single_equation([1, 1, -2]), distinctness="nontrivial")
-    indexes = []
+    caches = []
 
-    def keep(*args):
-        index, single = solution_index(*args)
-        indexes.append(index)
-        return index, single
+    def keep(sys, M, nodes):
+        index = solution_index(sys, M, nodes)
+        caches.append((M, index[2]))
+        return index
 
     solution_index = search._solution_index
     monkeypatch.setattr(search, "_solution_index", keep)
     budget = SearchBudget(N=30, node_limit=500_000)
-    largest = {}
-    for bound in (10**9, search._MEMO_SIZE):
+    for bound in (search._MEMO_SIZE, 1):
         monkeypatch.setattr(search, "_MEMO_SIZE", bound)
-        indexes.clear()
+        caches.clear()
         assert rado_number(ap3, 3, budget).value == 27
-        largest[bound] = max(len(memo) for index in indexes for _, _, _, memo in index)
-    assert largest[10**9] > search._MEMO_SIZE >= largest[search._MEMO_SIZE]
+        infos = [(M, forbidden.cache_info()) for M, forbidden in caches]
+        assert infos and all(info.maxsize == bound * M >= info.currsize for M, info in infos)
+    assert any(info.currsize == info.maxsize and info.misses > info.maxsize for _, info in infos)
 
 
 # (coefficients, distinctness, colors, node limit) -> (value, nodes, pruned,
