@@ -273,11 +273,20 @@ def cmd_export_cnf(args) -> int:
     sys_ = _apply_distinct(_load_system(args.system), args)
     _check_colors(args.colors)
     search.check_cnf_size(args.colors, args.range)
+    created = not os.path.exists(args.out)
     try:
-        # opened first, so a bad --out fails before the enumeration
-        with open(args.out, "w") as fh:
-            t0 = time.perf_counter()
+        # opened first, so a bad --out fails before the enumeration, but not
+        # emptied: an instance refused once its value sets are known leaves
+        # an existing file as it was, and removes one this run created
+        open(args.out, "a").close()
+        t0 = time.perf_counter()
+        try:
             text = search.export_cnf(sys_, args.colors, args.range)
+        except ValueError:
+            if created:
+                os.remove(args.out)
+            raise
+        with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc

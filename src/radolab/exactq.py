@@ -14,6 +14,18 @@ from typing import Sequence, Union
 Scalar = Union[int, Fraction]
 Vector = tuple  # tuple of Scalar
 
+# the most that a matrix command may spend or print: the elimination steps
+# m*n*min(m, n) of kernel_basis, and the entries of the kernel basis or of
+# radomat.expand_matrix's E(A)
+MATRIX_LIMIT = 10**6
+
+
+def check_size(count: int, what: str, m: int, n: int) -> None:
+    """Refuse, with a ValueError, `count` > `MATRIX_LIMIT` of `what` for an
+    m x n matrix."""
+    if count > MATRIX_LIMIT:
+        raise ValueError(f"too many {what} for a {m}x{n} matrix: {count:,}, above the limit of {MATRIX_LIMIT:,}")
+
 
 def norm_scalar(x: Scalar) -> Scalar:
     """Canonicalise: Fraction with denominator 1 becomes int."""
@@ -212,17 +224,21 @@ def insert(v: Sequence[int], basis: list) -> None:
 def kernel_basis(A: Matrix) -> list:
     """Basis of the rational null space of A, from the reduced echelon
     parametrisation (one basis vector per free column).  Empty list iff the
-    kernel is trivial."""
+    kernel is trivial.  A matrix whose elimination or basis is too large is
+    refused first (`check_size`)."""
+    m, n = A.m, A.n
+    check_size(m * n * min(m, n), "elimination steps", m, n)
     basis = []
     for r in A.rows:
         insert(integral(r), basis)
+    check_size(n * (n - len(basis)), "kernel basis entries", m, n)
     d = _denominator(basis)
     pivots = {p for p, _ in basis}
     out = []
-    for f in range(A.n):
+    for f in range(n):
         if f in pivots:
             continue
-        v = [0] * A.n
+        v = [0] * n
         v[f] = 1
         for p, row in basis:
             q, r = divmod(-row[f], d)

@@ -23,32 +23,32 @@ class ConstantTermError(PolyParseError):
     """A nonzero constant term was supplied; those polynomials are excluded."""
 
 
-_TERM_RE = re.compile(
-    r"""^(?:
-          (?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*(?P<var1>[A-Za-z])(?:\^(?P<exp1>\d+))?
-        | (?P<var2>[A-Za-z])(?:\^(?P<exp2>\d+))?
-        | (?P<const>-?\d+(?:/\d+)?)
-        )$""",
-    re.VERBOSE,
-)
+# one signed term: an integer or p/q coefficient and a letter with an optional
+# exponent, either of them left out but not both; '*' may join the two
+_TERM = re.compile(r"(-)?\s*(?=\d|[A-Za-z])(\d+(?:/\d+)?)?(?:\s*(?(2)\*?)\s*([A-Za-z])(?:\^(\d+))?)?")
 
 
 class Poly:
-    """Sparse univariate polynomial with zero constant term."""
+    """Sparse univariate polynomial with zero constant term, built from a map
+    of degrees to coefficients or from (degree, coefficient) pairs, whose like
+    terms add up.  Each degree is checked as it comes, so poly_parse's terms
+    are refused in text order; a degree-0 term, of any coefficient, only once
+    all have come."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        cleaned = {}
-        for d, c in (coeffs or {}).items():
+        total = {}
+        for d, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ValueError(f"a degree must be a positive integer, not {d!r}")
-            if d == 0:
-                raise ConstantTermError("degree-0 term forbidden")
-            c = norm_scalar(c)
-            if c != 0:
-                cleaned[d] = c
-        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
+            if d > MAX_EXPONENT:
+                raise PolyParseError(f"degree {d} is above {MAX_EXPONENT}")
+            total[d] = total.get(d, 0) + norm_scalar(c)
+        if 0 in total:
+            raise ConstantTermError("degree-0 term forbidden")
+        cleaned = {d: norm_scalar(c) for d, c in sorted(total.items()) if c != 0}
+        object.__setattr__(self, "coeffs", cleaned)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -95,54 +95,33 @@ ZERO = Poly({})
 
 
 def poly_parse(text: str) -> Poly:
-    """Parse signed terms of the form c*z^d, z^d, c*z, z (c integer or p/q).
-
-    The variable letter is free but must be consistent.  Any nonzero constant
-    term is rejected; the bare token "0" denotes the zero polynomial.
-    """
-    s = text.strip()
-    if not s:
+    """Parse signed terms c*z^d, c z^d, z^d or c (c an integer or p/q) in one
+    letter, any letter.  A nonzero constant term is refused, so "0" is the
+    zero polynomial; a degree above `MAX_EXPONENT` is refused by `Poly`."""
+    if not text.strip():
         raise PolyParseError("empty polynomial text")
     # split into signed terms
-    s = s.replace("-", "+-")
-    raw = s.split("+")
+    raw = text.replace("-", "+-").split("+")
     if any(not c.strip() for c in raw[1:]):
         raise PolyParseError(f"dangling operator in {text!r}")
-    chunks = [c.strip() for c in raw if c.strip()]
-    coeffs: dict = {}
-    var = None
-    for chunk in chunks:
-        neg = False
-        if chunk.startswith("-"):
-            neg = True
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
-        if m is None:
-            raise PolyParseError(f"bad term {chunk!r} in {text!r}")
-        if m.group("const") is not None:
-            c = parse_scalar(m.group("const"))
+
+    def terms():
+        var = None
+        for chunk in filter(None, map(str.strip, raw)):
+            m = _TERM.fullmatch(chunk)
+            if m is None:
+                raise PolyParseError(f"bad term {chunk!r} in {text!r}")
+            neg, coef, v, exp = m.groups()
+            c = parse_scalar(coef) if coef else 1
             if neg:
                 c = -c
-            if c != 0:
-                raise ConstantTermError(
-                    f"constant term {c} forbidden (zero constant term required)"
-                )
-            continue
-        if m.group("var1") is not None:
-            v = m.group("var1")
-            c = parse_scalar(m.group("coef"))
-            d = int(m.group("exp1") or 1)
-        else:
-            v = m.group("var2")
-            c = 1
-            d = int(m.group("exp2") or 1)
-        if var is None:
-            var = v
-        elif v != var:
-            raise PolyParseError(f"mixed variable letters {var!r} and {v!r}")
-        if d > MAX_EXPONENT:
-            raise PolyParseError(f"exponent {d} in {text!r} is above {MAX_EXPONENT}")
-        if neg:
-            c = -c
-        coeffs[d] = coeffs.get(d, 0) + c
-    return Poly(coeffs)
+            if v is None:
+                if c != 0:
+                    raise ConstantTermError(f"constant term {c} forbidden (zero constant term required)")
+                continue
+            var = var or v
+            if v != var:
+                raise PolyParseError(f"mixed variable letters {var!r} and {v!r}")
+            yield int(exp or 1), c
+
+    return Poly(terms())

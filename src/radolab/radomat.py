@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, neg
 
-from .exactq import Matrix, Vector, insert, integral, is_zero_vector, norm_scalar, reduce, span_member
+from .exactq import Matrix, Vector, check_size, insert, integral, is_zero_vector, norm_scalar, reduce, span_member
 
 # The bound on every subset search (_first_zero_sum, by meet in the middle):
 # the column condition, the label of equation(...) and the avoider's check.
@@ -201,10 +201,12 @@ def validate_witness(A: Matrix, w: ColumnPartitionWitness) -> bool:
 
 def expand_matrix(A: Matrix) -> Matrix:
     """E(A): keep columns 1..n-1, split the last column into a diagonal block
-    of per-row entries a_{i,n}."""
+    of per-row entries a_{i,n}.  An E(A) too large to print is refused
+    (`check_size`)."""
     if A.n < 2:
         raise ValueError("expansion needs n >= 2")
     m, n = A.m, A.n
+    check_size(m * (n - 1 + m), "entries of E(A)", m, n)
     rows = []
     for i in range(m):
         row = list(A.rows[i][: n - 1]) + [0] * m

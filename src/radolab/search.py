@@ -765,23 +765,25 @@ def rado_number(sys: EquationSystem, r: int, budget: SearchBudget) -> RadoNumber
 
 CNF_TUPLE_LIMIT = 200000  # node limit of the enumeration behind export_cnf
 CNF_TRUNCATED = "c WARNING: solution-tuple enumeration truncated; instance under-approximates"
-# the most clauses export_cnf writes to give each integer one color: every
-# range up to 10^6 at 4 colors fits (7 clauses per integer)
+# the most clauses export_cnf writes: the one-color clauses of every range up
+# to 10^6 at 4 colors fit (7 clauses per integer)
 CNF_CLAUSE_LIMIT = 10**7
 
 
-def check_cnf_size(r: int, N: int) -> None:
-    """Refuse, with a ValueError, an export_cnf instance whose clauses that
-    give each of the N integers exactly one of r colors, N * (1 + r(r-1)/2)
-    of them, exceed `CNF_CLAUSE_LIMIT`."""
+def check_cnf_size(r: int, N: int, value_sets: int = 0) -> int:
+    """The clauses of an export_cnf instance on N integers, r colors and
+    `value_sets` value sets: N * (1 + r(r-1)/2) that give each integer exactly
+    one color, and r per value set that keep it from being monochromatic.
+    Refused, with a ValueError, above `CNF_CLAUSE_LIMIT`."""
     if r < 1 or N < 1:
         raise ValueError("r and N must be positive")
-    need = N * (1 + r * (r - 1) // 2)
+    need = N * (1 + r * (r - 1) // 2) + r * value_sets
     if need > CNF_CLAUSE_LIMIT:
+        why = f"with their {value_sets:,} value sets" if value_sets else "to give each one color"
         raise ValueError(
-            f"{N:,} integers with {r} colors take {need:,} clauses to give each one color,"
-            f" above the limit of {CNF_CLAUSE_LIMIT:,}"
+            f"{N:,} integers with {r} colors take {need:,} clauses {why}, above the limit of {CNF_CLAUSE_LIMIT:,}"
         )
+    return need
 
 
 def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
@@ -791,7 +793,8 @@ def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
 
     When tuple enumeration hits `CNF_TUPLE_LIMIT` nodes the instance is an
     under-approximation and carries the comment line `CNF_TRUNCATED`.  An
-    instance above `CNF_CLAUSE_LIMIT` is refused first (`check_cnf_size`).
+    instance above `CNF_CLAUSE_LIMIT` is refused (`check_cnf_size`): before
+    the enumeration on its one-color clauses, and after it on all of them.
     """
     check_cnf_size(r, N)
     truncated = False
@@ -801,7 +804,7 @@ def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
             tuples[value_set] = None
     except BudgetExhausted:
         truncated = True
-    nclauses = N * (1 + r * (r - 1) // 2) + r * len(tuples)
+    nclauses = check_cnf_size(r, N, len(tuples))
     head = [
         f"c avoiding-coloring instance for system {sys.name!r}, r={r}, N={N}",
         "c variable numbering: v(n,c) = (n-1)*r + c + 1",

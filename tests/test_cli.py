@@ -445,7 +445,7 @@ def test_export_cnf(capsys, tmp_path):
         ["export-cnf", "schur", "--colors", "2", "--range", "5", "--out", out_path],
     )
     assert code == 0
-    text = open(out_path).read()
+    text = pathlib.Path(out_path).read_text()
     assert "p cnf 10 " in text
 
 
@@ -474,6 +474,24 @@ def test_export_cnf_bad_out_fails_before_enumerating(capsys, monkeypatch):
     code, out, err = run(capsys, ["export-cnf", "schur", "--range", "5", "--out", "/nonexistent/dir/x.cnf"])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write /nonexistent/dir/x.cnf: ") and err.count("\n") == 1
+
+
+def test_export_cnf_refused_once_its_value_sets_are_known_leaves_out_as_it_was(capsys, monkeypatch, tmp_path):
+    # x + y = z on [1..5] at 3 colors: 20 one-color clauses pass the early
+    # check, and its 6 value sets add 18 more, above a limit of 37
+    monkeypatch.setattr("radolab.search.CNF_CLAUSE_LIMIT", 37)
+    old = tmp_path / "old.cnf"
+    old.write_bytes(b"p cnf 1 1\n1 0\n")
+    for out in (old, tmp_path / "new.cnf"):
+        code, stdout, err = run(capsys, ["export-cnf", "schur", "--colors", "3", "--range", "5", "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == "error: 5 integers with 3 colors take 38 clauses with their 6 value sets, above the limit of 37\n"
+    assert old.read_bytes() == b"p cnf 1 1\n1 0\n"
+    assert not (tmp_path / "new.cnf").exists()
+    monkeypatch.setattr("radolab.search.CNF_CLAUSE_LIMIT", 38)
+    code, stdout, _ = run(capsys, ["export-cnf", "schur", "--colors", "3", "--range", "5", "--out", str(old)])
+    assert code == 0 and stdout.endswith("(p cnf 15 38)\n")
+    assert old.read_text().count("\n") == 3 + 38
 
 
 def test_export_cnf_complete_reports_not_truncated(capsys, tmp_path):
@@ -1072,6 +1090,13 @@ def test_each_subcommand_prints_its_pinned_output(
         ["export-cnf", "schur", "--colors", "40", "--range", str(MAX_RANGE), "--out", "OUT"],
         *([cmd, system, "--range", "5"] for system in ("REPEATED", "NO-VARIABLES") for cmd in ("solve", "rado-number")),
         *(["export-cnf", system, "--range", "5", "--out", "OUT"] for system in ("REPEATED", "NO-VARIABLES")),
+        ["export-cnf", "schur", "--colors", "100", "--range", "2000", "--out", "OUT"],
+        ["solve", "schur", "--coloring", "nosuch"],
+        ["constant-solution", "ROW", "--rhs", "x"],
+        ["kernel", "WIDE-ROW"],
+        ["construct-thm37", "WIDE-ROW", "--a", "1", "--d", "1", "--polys", "z"],
+        ["kernel", "SQUARE"],
+        ["expand", "TALL"],
     ],
     ids=[
         "range-0",
@@ -1094,6 +1119,13 @@ def test_each_subcommand_prints_its_pinned_output(
         "rado-number-no-variables",
         "export-cnf-repeated-variables",
         "export-cnf-no-variables",
+        "export-cnf-too-many-tuple-clauses",
+        "unknown-coloring-spec",
+        "bad-rhs",
+        "kernel-too-many-entries",
+        "construct-thm37-kernel-too-many-entries",
+        "kernel-too-much-elimination",
+        "expand-too-many-entries",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, matrix_file, tmp_path, argv):
@@ -1101,6 +1133,10 @@ def test_bad_input_exits_2_with_one_line(capsys, matrix_file, tmp_path, argv):
         "TOO-WIDE": matrix_file(" ".join(["1"] * (MAX_COLS + 1))),
         "REPEATED": matrix_file(json.dumps({"name": "s", "variables": ["x", "x", "y"], "equations": []}), "repeated.json"),
         "NO-VARIABLES": matrix_file(json.dumps({"name": "s", "variables": [], "equations": []}), "none.json"),
+        "ROW": matrix_file("1 1 -1", "row.txt"),
+        "WIDE-ROW": matrix_file(" ".join(["1"] * 3000), "wide.txt"),
+        "SQUARE": matrix_file("\n".join(" ".join(["1"] * 101) for _ in range(101)), "square.txt"),
+        "TALL": matrix_file("1 1\n" * 3000, "tall.txt"),
     }
     out = tmp_path / "refused.cnf"
     code, _, err = run(capsys, [{**files, "OUT": str(out)}.get(a, a) for a in argv])
@@ -1199,6 +1235,54 @@ def test_seeded_cli_corpus_exits_0_to_3_without_a_traceback(capsys, matrix_file,
             ["fsfp", *base, "--depth", rng.choice(["-1", "0", "1", "2", "7"])],
             ["polyvdw", *base, "--polys", rng.choice(["z", "z^2, 2z^2", "z^65", "0z", ""])],
         ]
+    start = time.perf_counter()
+    for argv in corpus:
+        code, stdout, err = run(capsys, argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in stdout + err, argv
+    assert time.perf_counter() - start < 20
+
+
+def test_seeded_matrix_and_construction_corpus_exits_0_to_3_without_a_traceback(capsys, matrix_file):
+    # the commands that read a matrix file or scalar lists, in-process as in
+    # the corpus above, with the same assertions and time bound
+    rng = random.Random(27)
+    texts = {
+        "empty": "",
+        "ragged": "1 2\n3\n",
+        "zero-denominator": "1/0 1\n",
+        "not-a-number": "1 x -1\n",
+        "5000-digits": "9" * 5000 + " 1 -1\n",
+        "schur": "1 1 -1\n",
+        "two-rows": "1 2 -3\n2 -1 -1\n",
+        "fractions": "1/2 1/2 -1\n",
+        "zero-last-column": "1 -1 0\n",
+        "25-columns": " ".join(["1"] * 24 + ["-24"]) + "\n",
+        "1x10000": " ".join(["1"] * 10000) + "\n",
+        "10000x2": "1 1\n" * 10000,
+    }
+    files = {name: matrix_file(text, f"{name}.txt") for name, text in texts.items()}
+    rhs = ["x", "1/0", "1,2", "", "0", "3", "1/2"]
+    kernel_vecs = ["1,1", "0,0,0", "1,-1,0", ",".join([str(10**40)] * 2 + [str(2 * 10**40)]), "1,1,2", "1,2,3", ""]
+    scalars = ["0", "-1", "x", "1", "2", "1/2", str(10**30)]
+    lists = ["", "0", "-1", "1", "1,2", "3,1/2", ","]
+    polys = ["z^2 + 1", "z^65", "z + w", "z", "z^2", "z,z^2", "0", "z^64", ""]
+    corpus = []
+    for name, path in files.items():
+        # the two largest files take a few tries each, the others more
+        tries = 2 if name.startswith("1") else 20
+        corpus += [["check-cc", path], ["expand", path], ["kernel", path]]
+        corpus += [["constant-solution", path, "--rhs", rng.choice(rhs)] for _ in range(tries // 2)]
+        for _ in range(tries):
+            vec = ["--kernel-vec", rng.choice(kernel_vecs)] if rng.random() < 0.7 else []
+            options = ["--a", rng.choice(scalars), "--d", rng.choice(scalars), "--polys", rng.choice(polys)]
+            corpus.append(["construct-thm37", path, *vec, *options])
+    for _ in range(600):
+        b_list = ["--b-list", rng.choice(lists)] if rng.random() < 0.6 else []
+        options = ["--a", rng.choice(scalars), "--d", rng.choice(scalars), "--polys", rng.choice(polys)]
+        corpus.append(["construct-thm34", "--a-list", rng.choice(lists), *b_list, *options])
     start = time.perf_counter()
     for argv in corpus:
         code, stdout, err = run(capsys, argv)

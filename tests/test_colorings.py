@@ -544,3 +544,19 @@ def test_avoider_blocks_small_solutions_directly():
             y = 3 * z - x
             if 1 <= y <= 60:
                 assert len({av.color_of(x), av.color_of(y), av.color_of(z)}) > 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Coloring(N=0, r=1, colors=()), "N and r must be positive"),
+        (lambda: Coloring.from_text("3 2\n"), "coloring file needs a header line and a color line"),
+        (lambda: fs([0]), "entries must be positive"),
+        (lambda: mixed_structure([1], [1, 2]), "sequences must have equal length"),
+        (lambda: rado_avoider_coloring([1, 1, -3], 5).color_of(0), "n must be positive"),
+    ],
+)
+def test_coloring_inputs_are_refused_with_their_reason(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

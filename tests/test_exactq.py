@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from radolab import exactq
 from radolab.exactq import (
+    MATRIX_LIMIT,
     Matrix,
     insert,
     integral,
@@ -64,6 +66,16 @@ def test_matrix_rejects_bad_input():
         Matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix.from_text("1 2/0")
+    for blank in ("", "\n  \n"):
+        with pytest.raises(ValueError, match="empty matrix text"):
+            Matrix.from_text(blank)
+
+
+def test_products_and_ranks_refuse_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_vec(Matrix([[1, 2]]), (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rank([(1, 2), (1, 2, 3)])
 
 
 def test_span_member_examples():
@@ -169,3 +181,35 @@ def test_integer_basis_over_one_denominator():
         residual = [Fraction(a, d) for a in reduce(v, basis)]
         assert span_member([tuple(r) for r in rows], tuple(a - b for a, b in zip(v, residual)))
         assert all(residual[p] == 0 for p, _ in basis)
+
+
+def test_kernel_basis_refuses_too_much_elimination_before_eliminating(monkeypatch):
+    def eliminate_nothing(*args):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(exactq, "insert", eliminate_nothing)
+    # 101 * 101 * 101 steps; 250 x 251 took 10.4 s to eliminate
+    for m, n in ((101, 101), (250, 251)):
+        with pytest.raises(ValueError, match=f"too many elimination steps for a {m}x{n} matrix"):
+            kernel_basis(Matrix([[1] * n] * m))
+
+
+def test_kernel_basis_refuses_a_basis_with_too_many_entries():
+    # one row of n ones has n - 1 kernel vectors of n entries each
+    assert len(kernel_basis(Matrix([[1] * 1000]))) == 999
+    assert 1000 * 999 <= MATRIX_LIMIT < 1001 * 1000
+    with pytest.raises(ValueError, match="too many kernel basis entries for a 1x1001 matrix: 1,001,000, above"):
+        kernel_basis(Matrix([[1] * 1001]))
+    with pytest.raises(ValueError, match="1x10000 matrix: 99,990,000"):
+        kernel_basis(Matrix([[1] * 10000]))
+
+
+def test_matrix_size_bound_sits_at_its_limit(monkeypatch):
+    monkeypatch.setattr(exactq, "MATRIX_LIMIT", 12)
+    # 2 x 3: 12 elimination steps and 3 basis entries; 1 x 4: 12 entries
+    assert kernel_basis(Matrix([[1, 1, -1], [0, 1, 1]])) == [(2, -1, 1)]
+    assert len(kernel_basis(Matrix([[1, 1, 1, 1]]))) == 3
+    with pytest.raises(ValueError, match="too many elimination steps for a 3x3 matrix: 27, above the limit of 12"):
+        kernel_basis(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="too many kernel basis entries for a 1x5 matrix: 20, above the limit of 12"):
+        kernel_basis(Matrix([[1, 1, 1, 1, 1]]))

@@ -1,9 +1,12 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from radolab.polyring import ConstantTermError, Poly, PolyParseError, poly_parse
+from radolab.exactq import parse_scalar
+from radolab.polyring import MAX_EXPONENT, ConstantTermError, Poly, PolyParseError, poly_parse
 
 
 def test_parse_examples():
@@ -130,3 +133,125 @@ def test_a_negative_degree_is_refused_as_a_degree_not_as_a_constant_term():
         Poly({-1: 1})
     assert not isinstance(exc.value, ConstantTermError)
     assert str(exc.value) == "a degree must be a positive integer, not -1"
+
+
+def test_poly_refuses_a_degree_above_the_bound_whatever_its_coefficient():
+    assert Poly({MAX_EXPONENT: 1}).coeffs == {MAX_EXPONENT: 1}
+    for coeffs in ({65: 1}, {65: 0}, {10**9: 1}, {1: 1, 65: 1}):
+        with pytest.raises(PolyParseError) as info:
+            Poly(coeffs)
+        assert type(info.value) is PolyParseError
+    with pytest.raises(PolyParseError) as info:
+        poly_parse("z^65")
+    assert type(info.value) is PolyParseError
+
+
+def test_poly_adds_up_the_coefficients_of_one_degree_in_pairs():
+    half = Fraction(1, 2)
+    assert Poly([(1, half), (2, 3), (1, half)]).coeffs == {1: 1, 2: 3}
+    assert type(Poly([(1, half), (1, half)]).coeffs[1]) is int
+    assert Poly([(2, 1), (2, -1)]).is_zero()
+    assert Poly(iter(())).is_zero()
+    # a degree above the bound is refused before the pairs after it are
+    # asked for; a degree-0 term only once all have come
+    def pairs():
+        yield 65, 1
+        raise AssertionError("asked past the degree above the bound")
+
+    with pytest.raises(PolyParseError):
+        Poly(pairs())
+    with pytest.raises(ConstantTermError):
+        Poly([(0, 0), (1, 1)])
+
+
+# The parser as it was before it took one term pattern, kept to check that
+# the pattern accepts and refuses the same texts, with the same coefficients
+# and exception classes.
+_REFERENCE_TERM = re.compile(
+    r"""^(?:
+          (?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*(?P<var1>[A-Za-z])(?:\^(?P<exp1>\d+))?
+        | (?P<var2>[A-Za-z])(?:\^(?P<exp2>\d+))?
+        | (?P<const>-?\d+(?:/\d+)?)
+        )$""",
+    re.VERBOSE,
+)
+
+
+def _reference_parse(text):
+    s = text.strip()
+    if not s:
+        raise PolyParseError("empty polynomial text")
+    s = s.replace("-", "+-")
+    raw = s.split("+")
+    if any(not c.strip() for c in raw[1:]):
+        raise PolyParseError(f"dangling operator in {text!r}")
+    chunks = [c.strip() for c in raw if c.strip()]
+    coeffs = {}
+    var = None
+    for chunk in chunks:
+        neg = False
+        if chunk.startswith("-"):
+            neg = True
+            chunk = chunk[1:].strip()
+        m = _REFERENCE_TERM.match(chunk)
+        if m is None:
+            raise PolyParseError(f"bad term {chunk!r} in {text!r}")
+        if m.group("const") is not None:
+            c = parse_scalar(m.group("const"))
+            if neg:
+                c = -c
+            if c != 0:
+                raise ConstantTermError(f"constant term {c} forbidden (zero constant term required)")
+            continue
+        if m.group("var1") is not None:
+            v = m.group("var1")
+            c = parse_scalar(m.group("coef"))
+            d = int(m.group("exp1") or 1)
+        else:
+            v = m.group("var2")
+            c = 1
+            d = int(m.group("exp2") or 1)
+        if var is None:
+            var = v
+        elif v != var:
+            raise PolyParseError(f"mixed variable letters {var!r} and {v!r}")
+        if d > MAX_EXPONENT:
+            raise PolyParseError(f"exponent {d} in {text!r} is above {MAX_EXPONENT}")
+        if neg:
+            c = -c
+        coeffs[d] = coeffs.get(d, 0) + c
+    return Poly(coeffs)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).coeffs
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_parser_decides_every_text_as_the_reference_parser():
+    # texts drawn from single characters and the tokens where the two could
+    # part: exponents at and past the bound, degree 0, a zero coefficient,
+    # fractions, and signs between terms
+    pieces = list("zwx0123/^*+-.( \t") + ["z^2", "1/2", "^0", "^64", "^65", "0z", "999", " + ", " - "]
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(100_000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        expect = _outcome(_reference_parse, text)
+        assert _outcome(poly_parse, text) == expect, text
+        seen.add(expect if isinstance(expect, type) else dict)
+    assert seen == {dict, PolyParseError, ConstantTermError, ValueError}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["z^65 + 1", "z^65 + 1/0 z", "z^0 + w", "z^0 + 1/0 z", "z^0 + z^65", "0z^0", "2*", "0*", "*z", "2z*", "- 3", "-"],
+)
+def test_parser_keeps_the_reference_order_of_refusals(text):
+    # where a text breaks two rules, the first term that breaks one decides
+    # the class, except a degree-0 term, which is refused last
+    expect = _outcome(_reference_parse, text)
+    assert isinstance(expect, type)
+    assert _outcome(poly_parse, text) is expect

@@ -5,6 +5,7 @@ from operator import add
 
 import pytest
 
+from radolab import exactq
 from radolab.exactq import Matrix
 from radolab.radomat import (
     MAX_COLS,
@@ -216,6 +217,17 @@ def test_expand_matrix_examples():
     assert expand_matrix(Matrix([[1, 0], [0, 1]])) == Matrix([[1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         expand_matrix(Matrix([[1], [2]]))
+
+
+def test_expand_matrix_refuses_an_expansion_with_too_many_entries(monkeypatch):
+    # E(A) of an m x n matrix has m * (n - 1 + m) entries: 10,000 rows of
+    # "1 1" would print 100,010,000
+    with pytest.raises(ValueError, match="too many entries of E.A. for a 10000x2 matrix: 100,010,000, above"):
+        expand_matrix(Matrix([[1, 1]] * 10000))
+    monkeypatch.setattr(exactq, "MATRIX_LIMIT", 6)
+    assert expand_matrix(Matrix([[1, 2], [3, 4]])) == Matrix([[1, 2, 0], [3, 0, 4]])
+    with pytest.raises(ValueError, match="2x3 matrix: 8, above the limit of 6"):
+        expand_matrix(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_expand_matrix_prescribed_positions():

@@ -21,6 +21,7 @@ from radolab.search import (
     _bitmask,
     _iroot,
     _value_sets,
+    check_cnf_size,
     export_cnf,
     find_mono_solution,
     rado_number,
@@ -1168,14 +1169,45 @@ def test_cnf_bench_instances_are_pinned():
 
 
 def test_cnf_refuses_more_one_color_clauses_than_the_limit(monkeypatch):
-    # with 3 colors each integer takes 1 + 3 clauses: 5 integers fit in 20
+    # with 3 colors each integer takes 1 + 3 clauses: 6 integers need 24,
+    # refused before any value set is enumerated
+    def enumerate_nothing(*args):
+        raise AssertionError("value sets enumerated")
+
     monkeypatch.setattr(search, "CNF_CLAUSE_LIMIT", 20)
-    assert export_cnf(schur_system(), 3, 5) == _reference_cnf(schur_system(), 3, 5)
+    monkeypatch.setattr(search, "_value_sets", enumerate_nothing)
     with pytest.raises(ValueError, match="6 integers with 3 colors take 24 clauses .* limit of 20"):
         export_cnf(schur_system(), 3, 6)
+
+
+def test_cnf_refuses_more_clauses_than_the_limit_once_its_value_sets_are_known(monkeypatch):
+    # x + y = z on [1..5] has 6 value sets, so 3 colors take 5 * 4 + 3 * 6
+    assert check_cnf_size(3, 5, 6) == 38
+    monkeypatch.setattr(search, "CNF_CLAUSE_LIMIT", 38)
+    text = export_cnf(schur_system(), 3, 5)
+    assert text == _reference_cnf(schur_system(), 3, 5)
+    assert "\np cnf 15 38\n" in text
+    monkeypatch.setattr(search, "CNF_CLAUSE_LIMIT", 37)
+    check_cnf_size(3, 5)
+    with pytest.raises(ValueError, match="5 integers with 3 colors take 38 clauses with their 6 value sets, above"):
+        export_cnf(schur_system(), 3, 5)
 
 
 def test_cnf_truncation_flag(monkeypatch):
     monkeypatch.setattr(search, "CNF_TUPLE_LIMIT", 3)
     text = export_cnf(schur_system(), 2, 30)
     assert "truncated" in text
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SearchBudget(N=1, node_limit=0), "node_limit must be positive"),
+        (lambda: rado_number(schur_system(), 0, SearchBudget(N=5)), "r must be >= 1"),
+        (lambda: check_cnf_size(0, 5), "r and N must be positive"),
+    ],
+)
+def test_search_parameters_below_1_are_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -702,3 +702,29 @@ def test_a_wide_equation_is_labelled_at_once():
     assert single_equation([1] * 23 + [-23]).status == "regular-by-paper"
     assert single_equation([1] * 25).status == "unknown"  # more than MAX_COLS terms
     assert time.perf_counter() - start < 2
+
+
+Z = poly_parse("z")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EquationSystem("s", ("x",), (), distinctness="some"), "bad distinctness 'some'"),
+        (lambda: EquationSystem("s", ("x",), (), status="proved"), "bad status 'proved'"),
+        (lambda: build_nonlinear_rado(Matrix([[1]]), [Z]), "need n >= 2 columns"),
+        (lambda: ap_times_product(0, 1, 3), "need l >= 1, m >= 1"),
+        (lambda: ap_times_power(0, 2, 3), "need l >= 1"),
+        (lambda: rational_function(0, Z, Z), "need n >= 1"),
+        (lambda: concluding_system(1, [Z]), "concluding-1 takes 3 polynomials"),
+        (lambda: parse_template_spec("schur(1"), "bad template spec 'schur(1'"),
+        (lambda: parse_template_spec("foo(1)"), "unknown template family 'foo'"),
+        (lambda: construct_thm34([], [], 1, 1, [Z]), "need at least one a_i and one polynomial"),
+        (lambda: construct_thm37(Matrix([[1, 1, -1]]), (1, 1), 1, 1, [Z]), "kernel vector length must match column count"),
+        (lambda: construct_thm37(Matrix([[1, 1, -1]]), (1, 1, 2), 1, 1, [Z, Z]), "need 1 polynomials"),
+    ],
+)
+def test_builders_refuse_what_they_cannot_build(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
