@@ -281,20 +281,15 @@ def cmd_export_cnf(args) -> int:
         open(args.out, "a").close()
         t0 = time.perf_counter()
         try:
-            text = search.export_cnf(sys_, args.colors, args.range)
+            header, truncated, chunks = search.cnf_instance(sys_, args.colors, args.range)
         except ValueError:
             if created:
                 os.remove(args.out)
             raise
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
-    # the header follows a few comment lines; the system name in the first
-    # one is quoted, so no line break precedes "p cnf" before the header
-    start = text.index("\np cnf ") + 1
-    header = text[start : text.index("\n", start)]
-    truncated = search.CNF_TRUNCATED in text[:start].split("\n")
     human = f"WROTE {args.out} ({header})"
     if truncated:
         human += (

@@ -77,13 +77,22 @@ def column_condition(A: Matrix):
     Cost: at each stage, one reduction of every remaining column modulo
     span(U), plus, when no column lies in span(U), about 2 * 2^(k/2) subset
     sums of the k remaining reduced columns.  The worst case stays
-    exponential: for m = 1 the question is zero subset sum.
+    exponential: for m = 1 the question is zero subset sum.  A with more
+    rows than columns is first reduced to a basis of its row space, which
+    has the same kernel and so the same answer and witness.
     """
     n = A.n
     if n > MAX_COLS:
         raise ValueError(f"too many columns ({n} > {MAX_COLS})")
     # rows scaled to integers, for the integer basis of span(U)
-    cols = list(zip(*map(integral, A.rows)))
+    rows = list(map(integral, A.rows))
+    if len(rows) > n:
+        row_basis = []
+        for row in rows:
+            insert(row, row_basis)
+        # a zero A keeps one zero row
+        rows = [row for _, row in row_basis] or rows[:1]
+    cols = list(zip(*rows))
     basis = []  # reduced row echelon basis of span(U)
     rest = list(range(n))
     blocks = []

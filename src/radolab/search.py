@@ -786,45 +786,56 @@ def check_cnf_size(r: int, N: int, value_sets: int = 0) -> int:
     return need
 
 
-def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
-    """DIMACS CNF that is satisfiable iff an avoiding r-coloring of [1..N]
-    exists.  Variables v(n,c) = (n-1)*r + c + 1; clauses give each integer
-    exactly one color and block every solution tuple from being monochromatic.
+def cnf_instance(sys: EquationSystem, r: int, N: int):
+    """The DIMACS CNF instance that is satisfiable iff an avoiding r-coloring
+    of [1..N] exists, as (header, truncated, chunks).  Variables v(n,c) =
+    (n-1)*r + c + 1; clauses give each integer exactly one color and block
+    every solution tuple from being monochromatic.
 
-    When tuple enumeration hits `CNF_TUPLE_LIMIT` nodes the instance is an
-    under-approximation and carries the comment line `CNF_TRUNCATED`.  An
-    instance above `CNF_CLAUSE_LIMIT` is refused (`check_cnf_size`): before
-    the enumeration on its one-color clauses, and after it on all of them.
+    `header` is the `p cnf` line.  `truncated` is True when tuple
+    enumeration hit `CNF_TUPLE_LIMIT` nodes: the instance then
+    under-approximates and carries the comment line `CNF_TRUNCATED`.
+    `chunks` yields the text in pieces: one per comment line and the
+    header, then one per integer's one-color clauses and one per value set.
+    The value sets are enumerated before this returns, so an instance above
+    `CNF_CLAUSE_LIMIT` is refused (`check_cnf_size`) before any piece: on
+    its one-color clauses before the enumeration, and on all of them after.
     """
     check_cnf_size(r, N)
     truncated = False
-    tuples = {}  # the value sets, once each, in enumeration order
+    found = {}  # the value sets, once each, in enumeration order, which sorts fast
     try:
         for value_set in _value_sets(sys, N, _Nodes(CNF_TUPLE_LIMIT)):
-            tuples[value_set] = None
+            found[value_set] = None
     except BudgetExhausted:
         truncated = True
-    nclauses = check_cnf_size(r, N, len(tuples))
-    head = [
-        f"c avoiding-coloring instance for system {sys.name!r}, r={r}, N={N}",
-        "c variable numbering: v(n,c) = (n-1)*r + c + 1",
-    ]
-    if truncated:
-        head.append(CNF_TRUNCATED)
-    head.append(f"p cnf {N * r} {nclauses}")
-    # pos[c][n] and neg[c][n]: the literals v(n,c) and "not v(n,c)", each
-    # with the space that follows it in a clause
-    pos = [[""] + [f"{(n - 1) * r + c + 1} " for n in range(1, N + 1)] for c in range(r)]
-    neg = [["-" + lit for lit in row] for row in pos]
-    out = ["\n".join(head), "\n"]
-    for n in range(1, N + 1):
-        out += [row[n] for row in pos]
-        out.append("0\n")
-        for c1 in range(r):
-            for c2 in range(c1 + 1, r):
-                out += (neg[c1][n], neg[c2][n], "0\n")
-    for tup in sorted(tuples):
-        for row in neg:
-            out += map(row.__getitem__, tup)
+    header = f"p cnf {N * r} {check_cnf_size(r, N, len(found))}"
+    value_sets = sorted(found)  # the pieces hold this list; the dict goes on return
+
+    def chunks():
+        yield f"c avoiding-coloring instance for system {sys.name!r}, r={r}, N={N}\n"
+        yield "c variable numbering: v(n,c) = (n-1)*r + c + 1\n"
+        if truncated:
+            yield CNF_TRUNCATED + "\n"
+        yield header + "\n"
+        # neg[c][n]: the literal "not v(n,c)" with the space that follows it
+        # in a clause; the literal v(n,c) is neg[c][n][1:].  neg[c][0] ends a
+        # clause, so a value set followed by 0 spells its clause for color c
+        neg = [["0\n"] + [f"-{(n - 1) * r + c + 1} " for n in range(1, N + 1)] for c in range(r)]
+        for n in range(1, N + 1):
+            out = [row[n][1:] for row in neg]
             out.append("0\n")
-    return "".join(out)
+            for c1 in range(r):
+                for c2 in range(c1 + 1, r):
+                    out += (neg[c1][n], neg[c2][n], "0\n")
+            yield "".join(out)
+        for tup in value_sets:
+            tup += (0,)
+            yield "".join([row[v] for row in neg for v in tup])
+
+    return header, truncated, chunks()
+
+
+def export_cnf(sys: EquationSystem, r: int, N: int) -> str:
+    """The text of `cnf_instance(sys, r, N)` as one string."""
+    return "".join(cnf_instance(sys, r, N)[2])

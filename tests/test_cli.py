@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import time
+import tracemalloc
 from sys import executable
 
 import pytest
@@ -19,6 +20,7 @@ from radolab.cli import MAX_RANGE, _apply_distinct, main
 from radolab.colorings import poly_vdw_witness, random_coloring
 from radolab.polyring import poly_parse
 from radolab.radomat import MAX_COLS
+from radolab.search import export_cnf
 from radolab.systems import schur_system
 
 
@@ -78,6 +80,15 @@ def test_check_cc_on_a_row_of_24_ones_is_fast(capsys, matrix_file):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert "NOT SATISFIED" in out
+
+
+def test_check_cc_on_20000_rows_of_24_ones_is_fast(capsys, matrix_file):
+    # the rows span one line, so the decider sees one row
+    path = matrix_file((" ".join(["1"] * 24) + "\n") * 20000)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["check-cc", path])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "NOT SATISFIED\n")
 
 
 def test_check_cc_malformed_file(capsys, matrix_file):
@@ -468,9 +479,9 @@ def test_export_cnf_truncated_exits_3(capsys, tmp_path):
 
 def test_export_cnf_bad_out_fails_before_enumerating(capsys, monkeypatch):
     def enumerate_nothing(*args):
-        raise AssertionError("export_cnf ran")
+        raise AssertionError("value sets enumerated")
 
-    monkeypatch.setattr("radolab.search.export_cnf", enumerate_nothing)
+    monkeypatch.setattr("radolab.search._value_sets", enumerate_nothing)
     code, out, err = run(capsys, ["export-cnf", "schur", "--range", "5", "--out", "/nonexistent/dir/x.cnf"])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write /nonexistent/dir/x.cnf: ") and err.count("\n") == 1
@@ -502,6 +513,27 @@ def test_export_cnf_complete_reports_not_truncated(capsys, tmp_path):
     assert code == 0
     assert report["outcome"] == {"file": str(out_path), "header": "p cnf 80 10288", "truncated": False}
     assert "WARNING" not in out_path.read_text()
+
+
+@pytest.mark.parametrize("spec, N, code", [("schur", 30, 0), ("equation(1,1,1,1,-1)", 100, 3)], ids=["complete", "truncated"])
+def test_export_cnf_writes_the_text_of_export_cnf(capsys, tmp_path, spec, N, code):
+    out = tmp_path / "x.cnf"
+    assert run(capsys, ["export-cnf", spec, "--colors", "3", "--range", str(N), "--out", str(out)])[0] == code
+    assert out.read_bytes() == export_cnf(systems.parse_template_spec(spec), 3, N).encode()
+
+
+def test_export_cnf_writes_the_instance_as_it_goes(capsys, tmp_path):
+    # the pieces go to the file as they come, so the run never holds the
+    # text whole: its peak allocation stays well below the file's size
+    out = tmp_path / "s.cnf"
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, ["export-cnf", "schur", "--colors", "40", "--range", "120", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out.stat().st_size / 4, (peak, out.stat().st_size)
 
 
 # ---------------------------------------------------------------------------

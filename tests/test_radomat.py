@@ -149,6 +149,25 @@ def test_first_zero_sum_modulo_q_returns_the_first_mask_of_a_brute_force_scan():
     assert 0 < found < 3000  # both outcomes occur
 
 
+def test_stacked_combinations_of_its_rows_keep_the_witness():
+    # more rows than columns are decided on a basis of the row space, which
+    # has the kernel of the matrix, so the answer and witness stay those of A
+    rng = random.Random(37)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        combos = [[rng.randint(-3, 3) for _ in rows] for _ in range(n + 1)]
+        extra = [[sum(k * row[j] for k, row in zip(ks, rows)) for j in range(n)] for ks in combos]
+        A = Matrix(rows)
+        w = column_condition(A)
+        assert column_condition(Matrix(rows + extra)) == w, rows
+        assert column_condition(Matrix(extra + rows)) == w, rows
+        found += w is not None
+    assert 0 < found < 300  # both outcomes occur
+    assert column_condition(Matrix([[0, 0, 0]] * 4)) == ColumnPartitionWitness(((1, 2, 3),))
+
+
 def test_column_guard():
     with pytest.raises(ValueError):
         column_condition(Matrix([[1] * (MAX_COLS + 1)]))
