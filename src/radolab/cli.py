@@ -29,16 +29,13 @@ EXIT_BUDGET = 3
 MAX_RANGE = 10**6
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a CliError, so it prints as one line and exits
-    2 like every other bad input; the subcommand parsers inherit the class."""
+    """Reports a usage error as a ValueError, so it prints as one line and
+    exits 2 like every other bad input; the subcommand parsers inherit the
+    class."""
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _scalar_json(v):
@@ -60,7 +57,7 @@ def _read(path: str, what: str, parse):
         with open(path) as fh:
             return parse(fh.read())
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read {what} from {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def _load_matrix(path: str) -> Matrix:
@@ -73,26 +70,30 @@ def _load_system(spec: str) -> systems.EquationSystem:
     try:
         return systems.parse_template_spec(spec)
     except ValueError as exc:
-        raise CliError(f"bad system spec {spec!r}: {exc}") from exc
+        raise ValueError(f"bad system spec {spec!r}: {exc}") from exc
 
 
 def _check_range(args) -> None:
     if not 1 <= args.range <= MAX_RANGE:
-        raise CliError(f"--range {args.range} is outside [1..{MAX_RANGE:,}], the ranges [1..N] this command builds")
+        raise ValueError(f"--range {args.range} is outside [1..{MAX_RANGE:,}], the ranges [1..N] this command builds")
 
 
-def _bad_spec(spec: str, form: str) -> CliError:
-    return CliError(f"bad coloring spec {spec!r}: expected {form}")
+def _bad_spec(spec: str, form: str) -> ValueError:
+    return ValueError(f"bad coloring spec {spec!r}: expected {form}")
 
 
 def _load_coloring(spec: str, N: int, r) -> colorings.Coloring:
-    """The coloring `spec` names.  `r` is --colors: the number of colors of
-    `random` (default 2); any other coloring fixes its own, and an explicit
-    --colors must agree with it."""
+    """The coloring `spec` names, of [1..N].  A coloring file longer than N
+    is cut to [1..N], and a shorter one keeps its length, so a command
+    searches and reports [1..col.N].  `r` is --colors: the number of colors
+    of `random` (default 2); any other coloring fixes its own, and an
+    explicit --colors must agree with it."""
     _check_colors(r)
     col = _build_coloring(spec.strip(), N, 2 if r is None else r)
     if r is not None and r != col.r:
-        raise CliError(f"--colors {r} disagrees with coloring {spec!r}, which has {col.r} colors")
+        raise ValueError(f"--colors {r} disagrees with coloring {spec!r}, which has {col.r} colors")
+    if col.N > N:
+        col = dataclasses.replace(col, N=N, colors=col.colors[:N])
     return col
 
 
@@ -114,11 +115,11 @@ def _build_coloring(spec: str, N: int, r: int) -> colorings.Coloring:
         try:
             gen = colorings.rado_avoider_coloring(coeffs, int(m[2]))
         except ValueError as exc:
-            raise CliError(f"avoider generator refused: {exc}") from exc
+            raise ValueError(f"avoider generator refused: {exc}") from exc
         return gen.coloring(N)
     if os.path.exists(spec):
         return _read(spec, "coloring", colorings.Coloring.from_text)
-    raise CliError(f"unknown coloring spec {spec!r}")
+    raise ValueError(f"unknown coloring spec {spec!r}")
 
 
 def _parse_scalar_list(text: str):
@@ -149,7 +150,7 @@ def _report(args, t0: float, code: int, inputs: dict, outcome: dict, human: str,
 
 def _check_colors(r) -> None:
     if r is not None and r < 1:
-        raise CliError(f"--colors must be at least 1, not {r}")
+        raise ValueError(f"--colors must be at least 1, not {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def cmd_constant_solution(args) -> int:
     try:
         b = tuple(_parse_scalar_list(args.rhs))
     except ValueError as exc:
-        raise CliError(f"bad rhs: {exc}") from exc
+        raise ValueError(f"bad rhs: {exc}") from exc
     t0 = time.perf_counter()
     d = radomat.constant_solution(A, b)
     if d is not None:
@@ -222,8 +223,7 @@ def cmd_solve(args) -> int:
     sys_ = _apply_distinct(_load_system(args.system), args)
     col = _load_coloring(args.coloring, args.range, args.colors)
     inputs = {"system": sys_.name, "coloring": args.coloring, "colors": col.r, "status": sys_.status}
-    # a coloring file may be shorter than --range
-    budget = search.SearchBudget(N=min(args.range, col.N), node_limit=args.budget_nodes)
+    budget = search.SearchBudget(N=col.N, node_limit=args.budget_nodes)
     nodes = search._Nodes(budget.node_limit)
     t0 = time.perf_counter()
     try:
@@ -257,7 +257,11 @@ def cmd_rado_number(args) -> int:
     }
     counts = f"nodes={res.nodes}, pruned={res.pruned}"
     if res.value is not None:
-        human = f"RADO-NUMBER {res.value} (avoider for N={res.value - 1} attached, {counts})"
+        if res.value > 1:
+            attached = f"avoider for N={res.value - 1} attached"
+        else:
+            attached = "no avoider: every coloring of [1..1] has a monochromatic solution"
+        human = f"RADO-NUMBER {res.value} ({attached}, {counts})"
         code = EXIT_FOUND
     elif res.exhausted:
         human = f"BUDGET (largest avoider N={res.avoider.N if res.avoider else 0}, {counts})"
@@ -289,7 +293,7 @@ def cmd_export_cnf(args) -> int:
         with open(args.out, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
+        raise ValueError(f"cannot write {args.out}: {exc}") from exc
     human = f"WROTE {args.out} ({header})"
     if truncated:
         human += (
@@ -315,7 +319,7 @@ def cmd_fsfp(args) -> int:
         human = "NO WITNESS AT THIS SCALE"
     inputs = {"coloring": args.coloring, "colors": col.r, "depth": args.depth}
     code = EXIT_FOUND if w is not None else EXIT_NOT_FOUND
-    return _report(args, t0, code, inputs, outcome, human, search.SearchBudget(N=args.range))
+    return _report(args, t0, code, inputs, outcome, human, search.SearchBudget(N=col.N))
 
 
 def cmd_polyvdw(args) -> int:
@@ -324,7 +328,7 @@ def cmd_polyvdw(args) -> int:
     try:
         polys = _parse_poly_list(args.polys)
     except ValueError as exc:
-        raise CliError(f"bad polynomial list: {exc}") from exc
+        raise ValueError(f"bad polynomial list: {exc}") from exc
     t0 = time.perf_counter()
     res = colorings.poly_vdw_witness(col, polys)
     if res is not None:
@@ -336,7 +340,7 @@ def cmd_polyvdw(args) -> int:
         human = "NO WITNESS AT THIS SCALE"
     inputs = {"coloring": args.coloring, "colors": col.r, "polys": args.polys}
     code = EXIT_FOUND if res is not None else EXIT_NOT_FOUND
-    return _report(args, t0, code, inputs, outcome, human, search.SearchBudget(N=args.range))
+    return _report(args, t0, code, inputs, outcome, human, search.SearchBudget(N=col.N))
 
 
 def _report_construction(args, t0: float, inputs: dict, sys_, labelled: dict, outcome: dict) -> int:
@@ -358,15 +362,12 @@ def _report_construction(args, t0: float, inputs: dict, sys_, labelled: dict, ou
 
 def cmd_construct_thm34(args) -> int:
     t0 = time.perf_counter()
-    try:
-        a_list = _parse_scalar_list(args.a_list)
-        b_list = _parse_scalar_list(args.b_list) if args.b_list else []
-        a = parse_scalar(args.a)
-        d = parse_scalar(args.d)
-        polys = _parse_poly_list(args.polys)
-        assignments = systems.construct_thm34(a_list, b_list, a, d, polys)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    a_list = _parse_scalar_list(args.a_list)
+    b_list = _parse_scalar_list(args.b_list) if args.b_list else []
+    a = parse_scalar(args.a)
+    d = parse_scalar(args.d)
+    polys = _parse_poly_list(args.polys)
+    assignments = systems.construct_thm34(a_list, b_list, a, d, polys)
     sys_ = systems.poly_sum_product(len(a_list), len(b_list) + 1, polys)
     inputs = {"a_list": args.a_list, "b_list": args.b_list, "a": args.a, "d": args.d, "polys": args.polys}
     labelled = {f"equation {i}": asg for i, asg in enumerate(assignments, 1)}
@@ -377,20 +378,20 @@ def cmd_construct_thm34(args) -> int:
 def cmd_construct_thm37(args) -> int:
     A = _load_matrix(args.matrix)
     t0 = time.perf_counter()
+    polys = _parse_poly_list(args.polys)
+    if args.kernel_vec:
+        X = tuple(_parse_scalar_list(args.kernel_vec))
+    else:
+        # some kernel vector has x_n != 0 exactly when a basis vector has
+        X = next((v for v in kernel_basis(A) if v[-1] != 0), None)
+        if X is None:
+            raise ValueError("no kernel vector of the matrix has x_n != 0, which Theorem 3.7 needs")
+    a = parse_scalar(args.a)
+    d = parse_scalar(args.d)
     try:
-        polys = _parse_poly_list(args.polys)
-        if args.kernel_vec:
-            X = tuple(_parse_scalar_list(args.kernel_vec))
-        else:
-            # some kernel vector has x_n != 0 exactly when a basis vector has
-            X = next((v for v in kernel_basis(A) if v[-1] != 0), None)
-            if X is None:
-                raise CliError("no kernel vector of the matrix has x_n != 0, which Theorem 3.7 needs")
-        a = parse_scalar(args.a)
-        d = parse_scalar(args.d)
         assignment = systems.construct_thm37(A, X, a, d, polys)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
     sys_ = systems.build_nonlinear_rado(A, polys)
     inputs = {"matrix": A.to_text(), "a": args.a, "d": args.d, "polys": args.polys}
     outcome = {"assignment": _assignment_json(assignment)}
@@ -489,9 +490,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit:  # --help; a usage error raises CliError instead
+    except SystemExit:  # --help; a usage error raises ValueError instead
         return EXIT_FOUND
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,6 +8,7 @@ equality is structural and integer-only workloads stay in fast int arithmetic.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -54,13 +55,16 @@ def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Dense m x n matrix of exact scalars, row-major and immutable."""
 
-    __slots__ = ("m", "n", "rows")
+    rows: tuple
+    m: int = field(init=False, compare=False)
+    n: int = field(init=False, compare=False)
 
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        rws = tuple(tuple(norm_scalar(e) for e in row) for row in rows)
+    def __post_init__(self):
+        rws = tuple(tuple(norm_scalar(e) for e in row) for row in self.rows)
         if not rws or not rws[0]:
             raise ValueError("matrix needs at least one row and one column")
         n = len(rws[0])
@@ -70,9 +74,6 @@ class Matrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rws)
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Matrix is immutable")
-
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
 
@@ -81,15 +82,6 @@ class Matrix:
 
     def row_sums(self) -> Vector:
         return tuple(sum(row) for row in self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Matrix({[list(r) for r in self.rows]})"
 
     def to_text(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)

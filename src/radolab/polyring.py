@@ -7,6 +7,7 @@ These are the admissible perturbation polynomials: sparse, canonical
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .exactq import Scalar, norm_scalar, parse_scalar
 
@@ -28,6 +29,7 @@ class ConstantTermError(PolyParseError):
 _TERM = re.compile(r"(-)?\s*(?=\d|[A-Za-z])(\d+(?:/\d+)?)?(?:\s*(?(2)\*?)\s*([A-Za-z])(?:\^(\d+))?)?")
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Sparse univariate polynomial with zero constant term, built from a map
     of degrees to coefficients or from (degree, coefficient) pairs, whose like
@@ -35,11 +37,11 @@ class Poly:
     are refused in text order; a degree-0 term, of any coefficient, only once
     all have come."""
 
-    __slots__ = ("coeffs",)
+    coeffs: dict = None
 
-    def __init__(self, coeffs=None):
+    def __post_init__(self):
         total = {}
-        for d, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
+        for d, c in self.coeffs.items() if isinstance(self.coeffs, dict) else self.coeffs or ():
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ValueError(f"a degree must be a positive integer, not {d!r}")
             if d > MAX_EXPONENT:
@@ -50,9 +52,6 @@ class Poly:
         cleaned = {d: norm_scalar(c) for d, c in sorted(total.items()) if c != 0}
         object.__setattr__(self, "coeffs", cleaned)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -62,14 +61,8 @@ class Poly:
             total += c * x**d
         return norm_scalar(total)
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
+    def __hash__(self):  # the generated one would hash the dict
         return hash(tuple(self.coeffs.items()))
-
-    def __repr__(self):
-        return f"Poly({self.coeffs!r})"
 
     def __str__(self):
         return self.render()

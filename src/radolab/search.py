@@ -18,7 +18,7 @@ class BudgetExhausted(Exception):
     'no solution in range'."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
     N: int
     node_limit: int = None
@@ -46,12 +46,10 @@ class RadoNumberResult:
     pruned: int = 0  # branches cut because an integer had every color forbidden
 
 
+@dataclass(slots=True, eq=False)
 class _Nodes:
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit):
-        self.count = 0
-        self.limit = limit
+    limit: int
+    count: int = 0
 
     def spend(self):
         self.count += 1
@@ -818,17 +816,21 @@ def cnf_instance(sys: EquationSystem, r: int, N: int):
         if truncated:
             yield CNF_TRUNCATED + "\n"
         yield header + "\n"
-        # neg[c][n]: the literal "not v(n,c)" with the space that follows it
-        # in a clause; the literal v(n,c) is neg[c][n][1:].  neg[c][0] ends a
-        # clause, so a value set followed by 0 spells its clause for color c
-        neg = [["0\n"] + [f"-{(n - 1) * r + c + 1} " for n in range(1, N + 1)] for c in range(r)]
         for n in range(1, N + 1):
-            out = [row[n][1:] for row in neg]
+            # the literal "not v(n,c)" with the space that follows it in a
+            # clause; the literal v(n,c) is lits[c][1:]
+            lits = [f"-{(n - 1) * r + c + 1} " for c in range(r)]
+            out = [lit[1:] for lit in lits]
             out.append("0\n")
             for c1 in range(r):
                 for c2 in range(c1 + 1, r):
-                    out += (neg[c1][n], neg[c2][n], "0\n")
+                    out += (lits[c1], lits[c2], "0\n")
             yield "".join(out)
+        # neg[c][n] is that literal for n up to the largest value-set member;
+        # neg[c][0] ends a clause, so a value set followed by 0 spells its
+        # clause for color c
+        top = max((tup[-1] for tup in value_sets), default=0)
+        neg = [["0\n"] + [f"-{(n - 1) * r + c + 1} " for n in range(1, top + 1)] for c in range(r)]
         for tup in value_sets:
             tup += (0,)
             yield "".join([row[v] for row in neg for v in tup])

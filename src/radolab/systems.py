@@ -19,23 +19,21 @@ STATUS = ("regular-by-paper", "not-regular", "unknown")
 MAX_VARIABLES = 64
 
 
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """Product of variable powers; the empty monomial is the constant 1."""
 
-    __slots__ = ("exps",)
+    exps: tuple = None
 
-    def __init__(self, exps=None):
+    def __post_init__(self):
         items = []
-        for v, e in (exps or {}).items():
+        for v, e in (self.exps or {}).items():
             if isinstance(e, bool) or not isinstance(e, int) or e < 1:
                 raise ValueError(f"the exponent of {v} must be a positive integer, not {e!r}")
             if e > MAX_EXPONENT:
                 raise ValueError(f"the exponent {e} of {v} is above {MAX_EXPONENT}")
             items.append((str(v), e))
         object.__setattr__(self, "exps", tuple(sorted(items)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Monomial is immutable")
 
     def variables(self):
         return [v for v, _ in self.exps]
@@ -46,12 +44,6 @@ class Monomial:
             val *= assignment[v] ** e
         return val
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
     def __repr__(self):
         if not self.exps:
             return "1"
@@ -61,17 +53,18 @@ class Monomial:
 ONE = Monomial()
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Equation:
-    """Sum of (coefficient, monomial) terms, read as `sum = 0`."""
+    """Sum of (coefficient, monomial) terms, read as `sum = 0`.  `terms` are
+    (c, monomial) tuples; a pair whose c is already normalised is kept as it
+    is, so equations share the pairs `_pair` hands out.  Equality ignores the
+    order of the terms, so an equation is not hashable."""
 
-    __slots__ = ("terms",)
+    terms: tuple
 
-    def __init__(self, terms):
-        """`terms` are (c, monomial) tuples.  A pair whose c is already
-        normalised is kept as it is, so equations share the pairs `_pair`
-        hands out."""
+    def __post_init__(self):
         seen = {}
-        for pair in terms:
+        for pair in self.terms:
             c, mono = pair
             n = norm_scalar(c)
             if n == 0:
@@ -80,9 +73,6 @@ class Equation:
                 raise ValueError(f"duplicate monomial {mono!r}")
             seen[mono] = pair if n is c else (n, mono)
         object.__setattr__(self, "terms", tuple(seen.values()))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Equation is immutable")
 
     def variables(self):
         out = []

@@ -17,7 +17,7 @@ import pytest
 import radolab
 from radolab import systems
 from radolab.cli import MAX_RANGE, _apply_distinct, main
-from radolab.colorings import poly_vdw_witness, random_coloring
+from radolab.colorings import parity_coloring, poly_vdw_witness, random_coloring
 from radolab.polyring import poly_parse
 from radolab.radomat import MAX_COLS
 from radolab.search import export_cnf
@@ -211,6 +211,23 @@ def test_solve_reports_the_range_a_short_coloring_file_allows(capsys, tmp_path):
     code, payload = run_json(capsys, argv)
     assert code == 1
     assert payload["budget"]["range"] == 5
+
+
+@pytest.mark.parametrize("length, N", [(500, 6), (6, 100)], ids=["longer", "shorter"])
+@pytest.mark.parametrize(
+    "command", [["solve", "schur"], ["fsfp", "--depth", "2"], ["polyvdw", "--polys", "6z"]], ids=lambda c: c[0]
+)
+def test_a_coloring_file_is_searched_and_reported_on_the_range_it_covers(capsys, tmp_path, command, length, N):
+    # a file holding parity on [1..length] answers as parity on [1..6] does:
+    # x + y = z at 2 + 2 = 4, and no FS/FP witness (it needs 8) and no
+    # a, a + 6d (it needs 7)
+    path = tmp_path / "parity.col"
+    path.write_text(parity_coloring(length).to_text())
+    argv = [*command, "--coloring", str(path), "--range", str(N)]
+    want = [*command, "--coloring", "parity", "--range", "6"]
+    assert run(capsys, argv) == run(capsys, want)
+    (code, got), (want_code, expect) = run_json(capsys, argv), run_json(capsys, want)
+    assert (code, got["outcome"], got["budget"]) == (want_code, expect["outcome"], {"range": 6, "node_limit": None})
 
 
 def test_solve_checks_a_variable_free_equation(capsys, tmp_path):
@@ -940,6 +957,14 @@ GOLDEN = [
         {"colors": 2, "system": "schur"},
         {"avoider": None, "exhausted": True, "nodes": 6, "pruned": 0, "value": None},
         (6, 5),
+    ),
+    (
+        ["rado-number", "equation(1,-1)", "--range", "10"],
+        0,
+        "RADO-NUMBER 1 (no avoider: every coloring of [1..1] has a monochromatic solution, nodes=9, pruned=0)\n",
+        {"colors": 2, "system": "equation(1,-1)"},
+        {"avoider": None, "exhausted": False, "nodes": 9, "pruned": 0, "value": 1},
+        (10, None),
     ),
     (
         ["export-cnf", "schur", "--range", "5", "--out", "OUT"],

@@ -1,6 +1,7 @@
 """Tests for the solution search, the Rado-number search and the CNF export."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -1197,6 +1198,34 @@ def test_cnf_truncation_flag(monkeypatch):
     monkeypatch.setattr(search, "CNF_TUPLE_LIMIT", 3)
     text = export_cnf(schur_system(), 2, 30)
     assert "truncated" in text
+
+
+def test_cnf_literal_table_reaches_only_the_largest_value_set_member():
+    # x + y = 3 has the one value set {1, 2}: each integer's one-color
+    # clauses are formatted as its piece is made, so the instance on 10^4
+    # integers keeps no table of their 4 * 10^4 literals
+    terms = [(1, Monomial({"x": 1})), (1, Monomial({"y": 1})), (-3, Monomial())]
+    sys = EquationSystem(name="x+y=3", variables=("x", "y"), equations=(Equation(terms),))
+    N = 10**4
+    tracemalloc.start()
+    try:
+        header, truncated, chunks = search.cnf_instance(sys, 4, N)
+        # the enumeration's tables are cyclic garbage by now
+        gc.collect()
+        tracemalloc.reset_peak()
+        for last in chunks:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (header, truncated, last) == (f"p cnf {4 * N} {7 * N + 4}", False, "-1 -5 0\n-2 -6 0\n-3 -7 0\n-4 -8 0\n")
+    assert peak < 1_000_000, peak
+
+
+def test_a_search_budget_is_frozen():
+    # one budget may be handed to several searches
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SearchBudget(N=5).N = 6
 
 
 @pytest.mark.parametrize(

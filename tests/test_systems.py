@@ -1,6 +1,7 @@
 """Tests for the equation-system layer: monomials, templates, the explicit
 constructions, and the JSON round trip."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -651,6 +652,36 @@ def test_an_equation_system_has_no_instance_dict():
     # calls super() on the class that slots=True replaced
     with pytest.raises((AttributeError, TypeError)):
         sys.note = "ad hoc"
+
+
+@pytest.mark.parametrize(
+    "build, same, other, hashable",
+    [
+        (lambda: Matrix([[1, Fraction(4, 2)]]), lambda: Matrix(((1, 2),)), lambda: Matrix([[1, 3]]), True),
+        (lambda: Poly({2: 1, 1: 0}), lambda: Poly([(2, 1)]), lambda: Poly(), True),
+        (lambda: Monomial({"y": 1, "x": 2}), lambda: Monomial({"x": 2, "y": 1}), lambda: Monomial(), True),
+        (
+            lambda: Equation([(1, Monomial({"x": 1})), (-1, Monomial({"y": 1}))]),
+            lambda: Equation([(-1, Monomial({"y": 1})), (Fraction(2, 2), Monomial({"x": 1}))]),
+            lambda: Equation([(1, Monomial({"x": 1})), (-2, Monomial({"y": 1}))]),
+            False,
+        ),
+    ],
+    ids=["Matrix", "Poly", "Monomial", "Equation"],
+)
+def test_value_types_are_frozen_slotted_dataclasses(build, same, other, hashable):
+    value = build()
+    assert dataclasses.is_dataclass(value) and not hasattr(value, "__dict__")
+    assert value == same() and value != other()
+    if hashable:
+        assert hash(value) == hash(same())
+    else:  # equal equations may list their terms in another order
+        with pytest.raises(TypeError):
+            hash(value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, dataclasses.fields(value)[0].name, None)
+    with pytest.raises((AttributeError, TypeError)):
+        value.note = "ad hoc"
 
 
 def test_built_terms_are_the_cached_pairs():
