@@ -151,12 +151,16 @@ class _Plan:
         prev = list(range(n))
         self.classes = []
         forms.sort()
+        # only variables of one shape can be interchangeable
+        shapes, alike = _shapes(forms, n), {}
+        for i, shape in enumerate(shapes):
+            alike.setdefault(shape, []).append(i)
         for i in range(n):
             if prev[i] != i:
                 continue
             members = [i]
-            for j in range(i + 1, n):
-                if prev[j] == j and _swapped(forms, i, j) == forms:
+            for j in alike[shapes[i]]:
+                if j > i and prev[j] == j and _swapped(forms, i, j) == forms:
                     prev[j] = members[-1]
                     members.append(j)
             self.classes.append(tuple(self.names[k] for k in members))
@@ -214,6 +218,14 @@ class _Plan:
         self.solved = [[c for c in self.closes[i] if not f or c[0] != f[0]] for i, f in enumerate(self.fixing)]
         # until[i]: the first position after i that no equation fixes, or n
         self.until = [next((j for j in range(i + 1, n) if not self.fixing[j]), n) for i in range(n)]
+        # leaf: n - 2 when the last variable is fixed by its pivot and
+        # nothing else could reject its value: no class partner before it,
+        # no all-distinct policy and no other equation closing at it (and,
+        # being last, it feeds no slot); its value then comes straight from
+        # the pivot's table.  Else None
+        last = self.fixing[-1]
+        plain = last and last[3] and self.prev[-1] == n - 1 and not (self.distinct or self.solved[-1])
+        self.leaf = n - 2 if n > 1 and plain else None
         # aheads[i]: when a pivot fixes the variable after i and i enters its
         # equation through one power i^x, (the power's place in feeds[i], x,
         # k) where k is the coefficient when it is a nonzero constant, the
@@ -255,12 +267,18 @@ class _Plan:
         divide res, and otherwise v runs over one residue class mod c / g,
         from the values split by residue once per call and modulus.  A value
         cut is never tried and costs no node; the values that remain are
-        tried in ascending order."""
+        tried in ascending order.
+
+        At the leaf (see `_Plan`), the value of the last variable is read
+        from its pivot's table with the residual v leaves, and the solution
+        goes out at once, without the forcing chain: nothing there could
+        reject it.  The enumeration frees its tables when it ends or is
+        closed."""
         n = len(self.names)
         if self.unsolvable or not values:
             return
-        feeds, distinct, prev, pos = self.feeds, self.distinct, self.prev, self.pos
-        fixing, solved, until = self.fixing, self.solved, self.until
+        feeds, distinct, nontrivial, prev, pos = self.feeds, self.distinct, self.nontrivial, self.prev, self.pos
+        fixing, solved, until, leaf = self.fixing, self.solved, self.until, self.leaf
         res = list(self.const)
         a = [0] * n  # a[i]: value of the variable at plan position i, 0 while unset
         # residual -> value for each pivot: residual + c * v = 0
@@ -399,6 +417,17 @@ class _Plan:
                 start = bisect_left(pool, lo) if lo else 0
                 stop = len(pool) if hi is None else bisect_right(pool, hi, start)
                 cands = pool[start:stop] if start or stop < len(pool) else pool
+            last = i == leaf
+            if last:
+                # the last variable is table[lr + lk * v + sum k * v^x], with
+                # lr = res[le] and the k known here: a lookup that makes the
+                # probe's test redundant
+                le, table = lookup[n - 1]
+                lr = res[le]
+                powers = {x: k for s, k, x in fed if s == le}  # one feed per power
+                lk = powers.pop(1, 0)
+                powers = list(powers.items())
+                ahead = False
             for v in cands:
                 if spend:
                     spend()
@@ -415,6 +444,18 @@ class _Plan:
                             break
                     if r:
                         continue
+                if last:
+                    r = lr + lk * v
+                    for x, k in powers:
+                        r += k * v**x
+                    w = table.get(r)
+                    if w is None:
+                        continue
+                    a[i] = v
+                    a[-1] = w
+                    if not (nontrivial and w == v and a.count(v) == n):
+                        yield a[:] if pos is None else [a[p] for p in pos]
+                    continue
                 a[i] = v
                 for s, k, x in fed:
                     res[s] += k * v**x
@@ -427,7 +468,7 @@ class _Plan:
                     j += 1
                 if j == end < n:  # every variable up to the next enumerated one is placed
                     yield from dfs(j)
-                elif j == n and not (self.nontrivial and len(set(a)) == 1):
+                elif j == n and not (nontrivial and a.count(v) == n):
                     yield a[:] if pos is None else [a[p] for p in pos]
                 while j > i + 1:
                     j -= 1
@@ -435,8 +476,15 @@ class _Plan:
                 for s, k, x in fed:
                     res[s] -= k * v**x
                 a[i] = 0
+            if last:
+                a[i] = a[-1] = 0
 
-        yield from dfs(0)
+        try:
+            yield from dfs(0)
+        finally:
+            # dfs refers to itself, so the closures and the tables they
+            # hold would wait for the next cyclic collection
+            forced = place = unplace = dfs = None
 
 
 def _signs(terms):
@@ -519,6 +567,24 @@ def _canonical(terms):
     if terms[0][1] < 0:
         g = -g
     return tuple((m, c // g) for m, c in terms)
+
+
+def _shapes(forms, n):
+    """Per variable 0..n-1, its shape in the canonical forms: for each form
+    that has it, its terms there as sorted (coefficient, exponent, monomial
+    size), negated where that sorts first, and these sorted.  A swap of i
+    and j that `_swapped` maps onto the same forms moves i's terms in each
+    form to j's in its image, which has the same coefficients or their
+    negatives, so interchangeable variables have one shape."""
+    terms = [{} for _ in range(n)]
+    for f, form in enumerate(forms):
+        for m, c in form:
+            for v, x in m:
+                terms[v].setdefault(f, []).append((c, x, len(m)))
+    return [
+        tuple(sorted(min(tuple(sorted(ts)), tuple(sorted((-c, x, k) for c, x, k in ts))) for ts in per.values()))
+        for per in terms
+    ]
 
 
 def _swapped(forms, i, j):
@@ -766,6 +832,9 @@ CNF_TRUNCATED = "c WARNING: solution-tuple enumeration truncated; instance under
 # the most clauses export_cnf writes: the one-color clauses of every range up
 # to 10^6 at 4 colors fit (7 clauses per integer)
 CNF_CLAUSE_LIMIT = 10**7
+# the most clauses cnf_instance joins into one piece of text: few pieces,
+# each small next to the instance even at 40 colors
+_CNF_PIECE = 2048
 
 
 def check_cnf_size(r: int, N: int, value_sets: int = 0) -> int:
@@ -794,7 +863,9 @@ def cnf_instance(sys: EquationSystem, r: int, N: int):
     enumeration hit `CNF_TUPLE_LIMIT` nodes: the instance then
     under-approximates and carries the comment line `CNF_TRUNCATED`.
     `chunks` yields the text in pieces: one per comment line and the
-    header, then one per integer's one-color clauses and one per value set.
+    header, then the one-color clauses of whole integers, then the clauses
+    of whole value sets, at most `_CNF_PIECE` clauses a piece unless one
+    integer alone has more.
     The value sets are enumerated before this returns, so an instance above
     `CNF_CLAUSE_LIMIT` is refused (`check_cnf_size`) before any piece: on
     its one-color clauses before the enumeration, and on all of them after.
@@ -816,24 +887,28 @@ def cnf_instance(sys: EquationSystem, r: int, N: int):
         if truncated:
             yield CNF_TRUNCATED + "\n"
         yield header + "\n"
-        for n in range(1, N + 1):
-            # the literal "not v(n,c)" with the space that follows it in a
-            # clause; the literal v(n,c) is lits[c][1:]
-            lits = [f"-{(n - 1) * r + c + 1} " for c in range(r)]
-            out = [lit[1:] for lit in lits]
-            out.append("0\n")
-            for c1 in range(r):
-                for c2 in range(c1 + 1, r):
-                    out += (lits[c1], lits[c2], "0\n")
+        step = max(1, _CNF_PIECE // (1 + r * (r - 1) // 2))
+        for first in range(1, N + 1, step):
+            out = []
+            for n in range(first, min(first + step, N + 1)):
+                # the literal "not v(n,c)" with the space that follows it in
+                # a clause; the literal v(n,c) is lits[c][1:]
+                lits = [f"-{(n - 1) * r + c + 1} " for c in range(r)]
+                out += [lit[1:] for lit in lits]
+                out.append("0\n")
+                for c1 in range(r):
+                    for c2 in range(c1 + 1, r):
+                        out += (lits[c1], lits[c2], "0\n")
             yield "".join(out)
         # neg[c][n] is that literal for n up to the largest value-set member;
         # neg[c][0] ends a clause, so a value set followed by 0 spells its
         # clause for color c
         top = max((tup[-1] for tup in value_sets), default=0)
         neg = [["0\n"] + [f"-{(n - 1) * r + c + 1} " for n in range(1, top + 1)] for c in range(r)]
-        for tup in value_sets:
-            tup += (0,)
-            yield "".join([row[v] for row in neg for v in tup])
+        step = max(1, _CNF_PIECE // r)
+        for first in range(0, len(value_sets), step):
+            piece = value_sets[first : first + step]
+            yield "".join([row[v] for tup in piece for ended in ((*tup, 0),) for row in neg for v in ended])
 
     return header, truncated, chunks()
 

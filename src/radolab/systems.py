@@ -15,7 +15,9 @@ from .radomat import MAX_COLS, column_condition
 
 DISTINCTNESS = ("allow-repeats", "all-distinct", "nontrivial")
 STATUS = ("regular-by-paper", "not-regular", "unknown")
-# the most variables a system may have: `search._Plan` compiles in quadratic time
+# the most variables a system may have: `search._Plan` tries a swap of each
+# variable with the later ones of its shape, so variables that are all alike
+# (equation(1,1,...,1)) compile in time quadratic in their number
 MAX_VARIABLES = 64
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from radolab.colorings import Coloring, all_one_coloring, parity_coloring, rado_avoider_coloring, random_coloring
-from radolab import search
+from radolab import search, systems
 from radolab.polyring import poly_parse
 from radolab.search import (
     BudgetExhausted,
@@ -403,6 +403,62 @@ def test_interchangeable_variables_are_detected():
         assert _Plan(sys).classes == classes, sys
 
 
+def _classes_by_every_swap(sys):
+    """The classes of interchangeable variables, by trying the swap of
+    every pair on forms written here: each equation's terms divided by the
+    coefficient of the least, so that multiples share a form."""
+
+    def forms(i=None, j=None):
+        rename = {i: j, j: i}
+        out = []
+        for eq in sys.equations:
+            terms = sorted((tuple(sorted((rename.get(v, v), x) for v, x in m.exps)), Fraction(c)) for c, m in eq.terms if c)
+            if terms:
+                out.append(tuple((m, c / terms[0][1]) for m, c in terms))
+        return sorted(out)
+
+    names, classes = sys.variables, []
+    placed = set()
+    for k, i in enumerate(names):
+        if i not in placed:
+            members = [i] + [j for j in names[k + 1 :] if j not in placed and forms(i, j) == forms()]
+            placed.update(members)
+            classes.append(tuple(members))
+    return classes
+
+
+def _template_corpus(seed):
+    """Seeded systems of every template family and of `build_nonlinear_rado`,
+    with repeated and negated coefficients, so that some of their variables
+    look alike without being interchangeable."""
+    rng = random.Random(seed)
+    polys = [poly_parse(t) for t in ("z", "z^2", "z^2 + z", "2z^2 - z", "z^3", "z^3 - z")]
+    out = []
+    for _ in range(40):
+        for family, (n_ints, n_polys, _) in systems._TEMPLATES.items():
+            # the coefficients of `equation`, else sizes
+            choices = [-2, -1, 1, 1, 2, 3] if n_ints is None else [1, 2, 3]
+            ints = [rng.choice(choices) for _ in range(rng.randint(2, 6) if n_ints is None else n_ints)]
+            picked = [rng.choice(polys) for _ in range(rng.randint(1, 3) if n_polys is None else n_polys)]
+            try:
+                out.append(systems.build_template(family, ints, picked))
+            except (ValueError, ZeroDivisionError):
+                pass
+        rows = [[rng.choice([-2, -1, 1, 1, 2]) for _ in range(4)] for _ in range(rng.randint(1, 2))]
+        out.append(build_nonlinear_rado(Matrix(rows), [rng.choice(polys) for _ in rows]))
+    return out
+
+
+def test_classes_match_trying_every_swap():
+    systems_ = [sys for sys, _ in _brute_force_suite()] + _template_corpus(31)
+    merged = 0
+    for sys in systems_:
+        classes = _Plan(sys).classes
+        assert classes == _classes_by_every_swap(sys), sys
+        merged += len(classes) < len(sys.variables)
+    assert merged > 100
+
+
 def _classes(N, seed):
     """Three seeded random subsets of [1..N], with gaps like the color
     classes of a random coloring."""
@@ -435,6 +491,62 @@ def test_plan_yields_one_solution_per_orbit():
         for values in [list(range(1, N + 1))] + _classes(N, k):
             inside = [a for a in expect if set(a) <= set(values)]
             assert list(plan.solutions(values, _Nodes(None))) == inside, (sys, values)
+
+
+def test_the_leaf_lookup_gives_the_general_paths_solutions_for_the_same_nodes():
+    # a last variable read straight from its pivot's table, and the same
+    # variable placed by the forcing chain
+    leaves = 0
+    for k, (sys, N) in enumerate(_brute_force_suite()):
+        plan, general = _Plan(sys), _Plan(sys)
+        general.leaf = None
+        leaves += plan.leaf is not None
+        for values in [list(range(1, N + 1))] + _classes(N, k):
+            fast, slow = _Nodes(None), _Nodes(None)
+            assert list(plan.solutions(values, fast)) == list(general.solutions(values, slow)), (sys, values)
+            assert fast.count == slow.count, (sys, values)
+    assert leaves >= 40
+
+
+def _leaf_cases():
+    x, y, z, w, p = ({v: 1} for v in "xyzwp")
+    x2y3z = single_equation([1, 2, -3])
+    return [
+        # x + 2y = 3z under each distinctness policy: all-distinct checks z
+        # against x and y, so it keeps the general path
+        (dataclasses.replace(x2y3z, distinctness="allow-repeats"), 1),
+        (dataclasses.replace(x2y3z, distinctness="nontrivial"), 1),
+        (dataclasses.replace(x2y3z, distinctness="all-distinct"), None),
+        (dataclasses.replace(schur_system(), distinctness="nontrivial"), 1),
+        # w is in a class with z, so w >= z is checked
+        (_system("xyzw", _eq((1, x), (1, y), (-1, z), (-1, w))), None),
+        # a second equation closes at z and is checked
+        (_system("xyz", _eq((1, x), (1, y), (-1, z)), _eq((2, z), (-1, x), (-3, y))), None),
+        (_system("xyz", _eq((1, x), (1, y), (-1, z)), _eq((1, {"z": 2}), (-1, {"x": 1, "y": 1}), (-12, {}))), None),
+        # p is hoisted after x, so values come back in declaration order
+        (_system("xypz", _eq((2, x), (-1, p), (-1, {})), _eq((1, x), (1, y), (-1, z))), 2),
+        # y is checked against y^2 - y = 2x before z is looked up
+        (_system("xyz", _eq((1, x), (1, y), (-1, z)), _eq((1, {"y": 2}), (-1, y), (-2, x))), 1),
+        # y enters z's equation as y^2 (the probe's cuts), and as y^2, x * y
+        # and y (no cut)
+        (_system("xyz", _eq((1, x), (1, {"y": 2}), (-2, z))), 1),
+        (_system("xyz", _eq((1, {"y": 2}), (2, {"x": 1, "y": 1}), (1, y), (-4, z))), 1),
+    ]
+
+
+@pytest.mark.parametrize("sys, leaf", _leaf_cases())
+def test_the_leaf_lookup_matches_brute_force_at_its_boundaries(sys, leaf):
+    plan = _Plan(sys)
+    assert plan.leaf == leaf
+    N = 12
+    expect = [
+        list(s.values()) for s in _brute_force_solutions(sys, N)
+        if all(s[u] <= s[v] for cls in plan.classes for u, v in zip(cls, cls[1:]))
+    ]
+    assert expect
+    for values in [list(range(1, N + 1))] + _classes(N, 7):
+        inside = [a for a in expect if set(a) <= set(values)]
+        assert list(plan.solutions(values, _Nodes(None))) == inside, values
 
 
 def test_find_mono_solution_is_brute_force_lexicographically_least():
@@ -1200,6 +1312,51 @@ def test_cnf_truncation_flag(monkeypatch):
     assert "truncated" in text
 
 
+@pytest.mark.parametrize(
+    "coeffs, policy, r, N, limit, digest",
+    [
+        ((1, 1, -2), "nontrivial", 2, 300, 5000, "44074aa722c4f352c3d47a2a0f4e8e912c3dd553c1e5ce5ee2f6e549a6805fb2"),
+        ((1, 1, -1), "allow-repeats", 3, 100, 777, "ce06c47552e0e27e77180d5ab041edb0f18f87e03b7262d69ac1bef07698eaf9"),
+        ((1, 2, -3), "allow-repeats", 4, 60, 1000, "0133258021b6a01a4c6ced0f3ab3db5c2f227e6b14d321bea7851f361962019c"),
+    ],
+)
+def test_truncated_cnf_instances_are_pinned(monkeypatch, coeffs, policy, r, N, limit, digest):
+    # the enumeration stops at the same solution whichever way the last
+    # variable is placed, so a truncated instance blocks the same value sets
+    monkeypatch.setattr(search, "CNF_TUPLE_LIMIT", limit)
+    sys = dataclasses.replace(single_equation(list(coeffs)), distinctness=policy)
+    assert _Plan(sys).leaf == 1
+    text = export_cnf(sys, r, N)
+    assert search.CNF_TRUNCATED in text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_solutions_free_their_tables_without_the_cyclic_collector(monkeypatch):
+    # x + y = 3z on 30,000 integers: the pivot table and the list of values
+    # go once the enumeration ends or is dropped, not at the next cyclic
+    # collection (3.6 MB stayed allocated before); a short enumeration
+    # builds the same tables
+    monkeypatch.setattr(search, "CNF_TUPLE_LIMIT", 1000)
+    sys = single_equation([1, 1, -3])
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        header, truncated, chunks = search.cnf_instance(sys, 4, 30000)
+        del chunks
+        after_export = tracemalloc.get_traced_memory()[0] - start
+        first = next(_Plan(sys).solutions(list(range(1, 30001)), _Nodes(None)))
+        after_first = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert truncated and first == [1, 2, 1]
+    assert after_export < 1_000_000, after_export
+    assert after_first < 1_000_000, after_first
+
+
 def test_cnf_literal_table_reaches_only_the_largest_value_set_member():
     # x + y = 3 has the one value set {1, 2}: each integer's one-color
     # clauses are formatted as its piece is made, so the instance on 10^4
@@ -1210,8 +1367,6 @@ def test_cnf_literal_table_reaches_only_the_largest_value_set_member():
     tracemalloc.start()
     try:
         header, truncated, chunks = search.cnf_instance(sys, 4, N)
-        # the enumeration's tables are cyclic garbage by now
-        gc.collect()
         tracemalloc.reset_peak()
         for last in chunks:
             pass
